@@ -65,7 +65,6 @@ from .group_action import (
     flow_oracle,
     generator_field,
     one_parameter,
-    random_group_element,
 )
 from .baselines import (
     FirstOrderSystem,

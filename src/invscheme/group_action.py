@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from .core import DomainViolation, Point2, RealizationId
 from .baselines import FirstOrderSystem, rk45_integrate
 
@@ -155,13 +153,3 @@ def flow_oracle(realization: RealizationId, index: int, t: float, p: Point2) -> 
         raise DomainViolation("flow left the half plane", x_new)
     return Point2(x_new, y_new)
 
-
-def random_group_element(rng: np.random.Generator, scale: float = 1.0) -> GroupElement:
-    """Random element near the identity, normalized to determinant one."""
-    for _ in range(1000):
-        a, b, c, d = (np.eye(2) + scale * rng.normal(size=(2, 2))).ravel()
-        det = a * d - b * c
-        if det > 0.01:
-            s = 1.0 / math.sqrt(det)
-            return GroupElement(float(a * s), float(b * s), float(c * s), float(d * s))
-    raise RuntimeError("could not sample a positive-determinant element")

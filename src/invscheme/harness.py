@@ -122,16 +122,21 @@ class ExperimentConfig:
 
 def _as_float(raw: dict, key: str) -> float:
     try:
-        return float(raw[key])
+        value = float(raw[key])
     except (TypeError, ValueError):
         raise ConfigError(f"field {key!r} must be a number, got {raw[key]!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"field {key!r} must be finite, got {raw[key]!r}")
+    return value
 
 
 def config_from_raw(raw: dict) -> ExperimentConfig:
     """Validate a flat key-value mapping into an ExperimentConfig.
 
-    Order-2 configs must provide (C, a) or yp0; order-3 configs must
-    provide yp0 and ypp0.  Unknown keys are rejected so typos surface.
+    Order-2 configs must provide (C, a) or yp0, and (C, a) with C >= 0
+    when they run the invariant method; order-3 configs must provide yp0
+    and ypp0.  Numbers must be finite, and h must be large enough to move
+    x0.  Unknown keys are rejected so typos surface.
     """
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
@@ -165,9 +170,11 @@ def config_from_raw(raw: dict) -> ExperimentConfig:
     f_name = raw.get("F", "square")
     if f_name not in F_CHOICES:
         raise ConfigError(f"unknown F {f_name!r}; choices: {sorted(F_CHOICES)}")
-    h = float(raw.get("h", 0.01))
-    if not (h > 0.0 and math.isfinite(h)):
+    h = _as_float(raw, "h") if "h" in raw else 0.01
+    if not h > 0.0:
         raise ConfigError("h must be positive")
+    if ics["x0"] + h == ics["x0"]:
+        raise ConfigError(f"h = {h!r} is too small to move x0 = {ics['x0']!r}")
     max_steps = raw.get("maxSteps", 5000)
     if not isinstance(max_steps, int) or isinstance(max_steps, bool) or max_steps < 0:
         raise ConfigError("maxSteps must be a nonnegative integer")
@@ -186,6 +193,13 @@ def config_from_raw(raw: dict) -> ExperimentConfig:
     for m in methods_raw:
         if m not in _METHODS:
             raise ConfigError(f"unknown method {m!r}; choices: {list(_METHODS)}")
+    if order == 2 and "invariant" in methods_raw:
+        if "C" not in ics or "a" not in ics:
+            raise ConfigError("the order-2 invariant method needs C and a")
+        if ics["C"] < 0.0:
+            raise ConfigError(
+                "the order-2 invariant method needs C >= 0 (J1 is a principal root)"
+            )
     seed = raw.get("seed")
     if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):
         raise ConfigError("seed must be an integer")

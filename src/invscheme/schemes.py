@@ -28,6 +28,7 @@ NoIntersection, which a runner records as the halting event.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -617,67 +618,85 @@ def _pick_direction(sol, t0: float, h: float) -> float:
     return max(probes, key=lambda d: probes[d])
 
 
-def _ode_curve(
-    realization: RealizationId,
-    ics: Mapping[str, float],
-    f: Callable[[float], float],
-) -> Callable[[float], Point2]:
-    """Graph-form reference solution x -> (x, y(x)) at tight tolerance."""
-    problem = ode_rhs_library(realization, 3, F=f)
-    x0 = float(ics["x0"])
-    state0 = [float(ics["y0"]), float(ics["yp0"]), float(ics["ypp0"])]
+class _ReferenceCurve:
+    """Graph-form reference solution x -> (x, y(x)) at tight tolerance.
 
-    def at(x: float) -> Point2:
-        if x == x0:
-            return Point2(x0, state0[0])
-        result = rk45_integrate(problem.system, x0, state0, x, rtol=1e-12, atol=1e-13)
+    Calling the curve integrates afresh from x0 to x, so a point that is
+    written out does not depend on which points were asked for before.
+    interp(x), for x >= x0, answers from one forward run instead: it keeps
+    the accepted integrator nodes with their states (y, y', y''), continues
+    from the last node when asked beyond it, and evaluates the quintic
+    Hermite polynomial through the two nodes that enclose x.
+    """
+
+    def __init__(
+        self,
+        realization: RealizationId,
+        ics: Mapping[str, float],
+        f: Callable[[float], float],
+    ):
+        self._system = ode_rhs_library(realization, 3, F=f).system
+        self._x0 = float(ics["x0"])
+        self._state0 = [float(ics["y0"]), float(ics["yp0"]), float(ics["ypp0"])]
+        self._xs = [self._x0]
+        self._states = [self._state0]
+
+    def _integrate(self, x_start: float, state: Sequence[float], x: float):
+        result = rk45_integrate(self._system, x_start, state, x, rtol=1e-12, atol=1e-13)
         if result.status != "ok":
             raise NumericError(
                 f"reference integration failed: {result.detail}", result.halt_x
             )
+        return result
+
+    def __call__(self, x: float) -> Point2:
+        if x == self._x0:
+            return Point2(self._x0, self._state0[0])
+        result = self._integrate(self._x0, self._state0, x)
         return Point2(result.xs[-1], result.states[-1][0])
 
-    return at
+    def interp(self, x: float) -> Point2:
+        xs, states = self._xs, self._states
+        if x > xs[-1]:
+            result = self._integrate(xs[-1], states[-1], x)
+            xs.extend(result.xs[1:])
+            states.extend(result.states[1:])
+        # The last node may land an ulp short of the x it was asked for.
+        i = min(max(bisect_left(xs, x), 1), len(xs) - 1)
+        if x == xs[i]:
+            return Point2(x, states[i][0])
+        (ya, da, sa), (yb, db, sb) = states[i - 1], states[i]
+        w = xs[i] - xs[i - 1]
+        t = (x - xs[i - 1]) / w
+        t2, t3 = t * t, t * t * t
+        y = (
+            ya * (1.0 - t3 * (10.0 - 15.0 * t + 6.0 * t2))
+            + yb * t3 * (10.0 - 15.0 * t + 6.0 * t2)
+            + w * da * t * (1.0 - t2 * (6.0 - 8.0 * t + 3.0 * t2))
+            - w * db * t3 * (4.0 - 7.0 * t + 3.0 * t2)
+            + 0.5 * w * w * sa * t2 * (1.0 - t) ** 3
+            + 0.5 * w * w * sb * t3 * (1.0 - t) ** 2
+        )
+        return Point2(x, y)
 
 
-def _advance_by_chord(curve, x_start: float, h: float) -> float:
-    """Abscissa one Euclidean chord h ahead along the reference curve."""
-    p0 = curve(x_start)
+# The harness seeds the order-3 standardFD baseline through this name.
+_ode_curve = _ReferenceCurve
 
-    def gap(x: float) -> float:
-        p = curve(x)
-        return math.hypot(p.x - p0.x, p.y - p0.y) - h
 
-    hi = h
+def _bracket_and_bisect(
+    gap: Callable[[float], float], x_start: float, hi: float, hi_limit: float
+) -> float:
+    """Abscissa where gap changes sign ahead of x_start.
+
+    Doubles the offset hi until gap(x_start + hi) >= 0, then halves the
+    bracket [x_start, x_start + hi] 80 times, moving its lower end while
+    gap < 0 there.
+    """
     while gap(x_start + hi) < 0.0:
         hi *= 2.0
-        if hi > 1e3 * h:
-            raise NumericError("chord search failed to bracket", x_start)
-    lo_x, hi_x = x_start, x_start + hi
-    for _ in range(80):
-        mid = 0.5 * (lo_x + hi_x)
-        if gap(mid) < 0.0:
-            lo_x = mid
-        else:
-            hi_x = mid
-    return 0.5 * (lo_x + hi_x)
-
-
-def _advance_by_invariant(curve, disc, x_start: float, k: float) -> float:
-    """Abscissa one pair-invariant step k ahead along the reference curve."""
-    p0 = curve(x_start)
-
-    def gap(x: float) -> float:
-        try:
-            return disc(p0, curve(x)) - k
-        except DomainViolation:
-            return math.inf
-
-    hi = 1e-4
-    while gap(x_start + hi) < 0.0:
-        hi *= 2.0
-        if hi > 1e6:
-            raise NumericError("invariant search failed to bracket", x_start)
+        if hi > hi_limit:
+            raise NumericError("reference search failed to bracket", x_start)
     lo_x, hi_x = x_start, x_start + hi
     for _ in range(80):
         mid = 0.5 * (lo_x + hi_x)
@@ -701,9 +720,12 @@ def bootstrap(
     invariant C and scale a supplies the second point one chord h along
     it, walking toward increasing y first (increasing x on ties).  Order 3
     needs x0, y0, yp0, ypp0: the reference solution comes from the
-    high-accuracy adaptive integrator at tolerance 1e-12, the second point
-    sits one chord h along it, and the third is re-spaced by bisection
-    until its pair invariant matches the first pair's within 1e-6.
+    high-accuracy adaptive integrator at tolerance 1e-12, run forward once
+    and grown on demand.  Two bisections on its quintic Hermite interpolant
+    place the second point one chord h along it and the third where its
+    pair invariant matches the first pair's; both points are then
+    evaluated by a fresh integration from x0, and the second pair must
+    match K within 1e-6.
 
     The mesh constant K is the measured pair invariant of the first pair.
     """
@@ -736,11 +758,23 @@ def bootstrap(
     if "yp0" not in ics or "ypp0" not in ics:
         raise ValueError("order-3 bootstrap needs yp0 and ypp0")
     rhs = f if f is not None else square
-    curve = _ode_curve(realization, ics, rhs)
-    x1 = _advance_by_chord(curve, x0, h)
+    curve = _ReferenceCurve(realization, ics, rhs)
+
+    def chord_gap(x: float) -> float:
+        p = curve.interp(x)
+        return math.hypot(p.x - p0.x, p.y - p0.y) - h
+
+    x1 = _bracket_and_bisect(chord_gap, x0, h, 1e3 * h)
     p1 = curve(x1)
     k = disc(p0, p1)
-    x2 = _advance_by_invariant(curve, disc, x1, k)
+
+    def invariant_gap(x: float) -> float:
+        try:
+            return disc(p1, curve.interp(x)) - k
+        except DomainViolation:
+            return math.inf
+
+    x2 = _bracket_and_bisect(invariant_gap, x1, 1e-4, 1e6)
     p2 = curve(x2)
     if abs(disc(p1, p2) - k) > 1e-6:
         raise NumericError(

@@ -42,7 +42,6 @@ from invscheme import (
     next_hyperbola_point,
     ode_rhs_library,
     one_parameter,
-    random_group_element,
     read_trajectory_csv,
     reduce_to_line_conic,
     rk45_integrate,
@@ -59,6 +58,8 @@ from invscheme import (
     window_j2,
 )
 from invscheme.baselines import expanded_residual_sl3, expanded_residual_sl4
+
+from helpers import random_group_element
 
 
 @contextlib.contextmanager

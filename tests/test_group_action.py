@@ -21,8 +21,9 @@ from invscheme import (
     disc_i2_sl4,
     flow_oracle,
     one_parameter,
-    random_group_element,
 )
+
+from helpers import random_group_element
 
 
 def test_identity_action():

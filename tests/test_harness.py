@@ -283,6 +283,35 @@ def test_cli_validate_rejects_incomplete_order3(tmp_path, capsys):
     assert "config error" in err and "ypp0" in err
 
 
+_FIG1_RAW = {
+    "name": "bad", "realization": "sl3", "order": "Second",
+    "x0": 1.0, "y0": 8.0, "C": 2.0, "a": 1.0,
+}
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"h": "abc"},
+        {"C": -1},
+        {"h": 1e-300},
+        {"y0": math.inf},
+        {"x0": math.nan},
+        {"a": None, "yp0": 0.5},
+    ],
+    ids=["h-text", "C-negative", "h-tiny", "y0-infinite", "x0-nan", "invariant-without-a"],
+)
+def test_cli_run_reports_bad_values_as_config_errors(tmp_path, capsys, change):
+    raw = {k: v for k, v in {**_FIG1_RAW, **change}.items() if v is not None}
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert cli_main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+    assert next(iter(change)) in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_validate_missing_file_and_bad_json(tmp_path, capsys):
     assert cli_main(["validate", str(tmp_path / "absent.json")]) == 1
     assert "no such file" in capsys.readouterr().err

@@ -42,6 +42,8 @@ from invscheme import (
     window_j1,
     window_j2,
 )
+from invscheme import schemes
+from invscheme.baselines import rk45_integrate
 
 FIG1_ICS = {"x0": 1.0, "y0": 8.0, "C": 2.0, "a": 1.0}
 FIG2_ICS = {"x0": 1.0, "y0": 1.0, "yp0": 1.0, "ypp0": 3.0}
@@ -550,6 +552,68 @@ def test_bootstrap_order3_equal_pair_invariants():
     p0, p1, p2 = state.window
     assert abs(disc_i1_sl3(p0, p1) - disc_i1_sl3(p1, p2)) < 1e-6
     assert state.last_j1 is not None and state.last_j1 >= 0.0
+
+
+def _restart_bootstrap3(realization, ics, h):
+    """Oracle for the order-3 bootstrap window: the same two searches, with
+    every probe integrated afresh from x0 instead of read off one run."""
+    curve = schemes._ode_curve(realization, ics, square)
+    disc = disc_i1_sl3 if realization is RealizationId.SL3 else disc_i1_sl4
+
+    def advance(gap, x_start, hi):
+        while gap(x_start + hi) < 0.0:
+            hi *= 2.0
+        lo_x, hi_x = x_start, x_start + hi
+        for _ in range(80):
+            mid = 0.5 * (lo_x + hi_x)
+            lo_x, hi_x = (mid, hi_x) if gap(mid) < 0.0 else (lo_x, mid)
+        return 0.5 * (lo_x + hi_x)
+
+    def chord_gap(x):
+        p = curve(x)
+        return math.hypot(p.x - p0.x, p.y - p0.y) - h
+
+    def invariant_gap(x):
+        try:
+            return disc(p1, curve(x)) - k
+        except DomainViolation:
+            return math.inf
+
+    p0 = curve(ics["x0"])
+    x1 = advance(chord_gap, p0.x, h)
+    p1 = curve(x1)
+    k = disc(p0, p1)
+    return p0, p1, curve(advance(invariant_gap, x1, 1e-4))
+
+
+@pytest.mark.parametrize(
+    "realization,ics,h",
+    [
+        (RealizationId.SL3, FIG2_ICS, 0.01),
+        (RealizationId.SL3, FIG2_ICS, 0.005),
+        (RealizationId.SL4, FIG4_ICS, 0.01),
+        (RealizationId.SL4, FIG4_ICS, 0.005),
+        (RealizationId.SL3, dict(FIG2_ICS, yp0=1.01), 0.01),
+    ],
+)
+def test_bootstrap_order3_matches_restart_oracle(realization, ics, h, monkeypatch):
+    """One reference integration grown on demand gives the oracle's window,
+    in a handful of integrator calls instead of one per search probe."""
+    expected = _restart_bootstrap3(realization, ics, h)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])  # where the integration starts
+        return rk45_integrate(*args, **kwargs)
+
+    monkeypatch.setattr(schemes, "rk45_integrate", counting)
+    state = bootstrap(realization, 3, ics, h=h, f=square)
+    assert len(calls) <= 10
+    for p, q in zip(state.window, expected):
+        assert abs(p.x - q.x) <= 1e-11 and abs(p.y - q.y) <= 1e-11
+    disc = disc_i1_sl3 if realization is RealizationId.SL3 else disc_i1_sl4
+    p0, p1, p2 = state.window
+    assert abs(disc(p1, p2) - disc(p0, p1)) <= 1e-6
 
 
 def test_bootstrap_rejects_bad_input():
