@@ -90,10 +90,7 @@ from .schemes import (
     reduce_to_line_conic,
     run_scheme,
     scheme_targets,
-    solve_line_conic,
     square,
-    step_order2,
-    step_order3,
     step_with_diagnostics,
     turning_side,
 )

@@ -147,11 +147,13 @@ class Trajectory:
     """Ordered points plus the per-step diagnostics that produced them.
 
     For a scheme of stencil width w, diagnostics has length
-    len(points) - (w - 1): one record per accepted step.
+    len(points) - (w - 1): one record per accepted step.  step_seconds
+    holds the wall time of each accepted step where the runner records it.
     """
 
     points: list[Point2] = field(default_factory=list)
     diagnostics: list[StepDiagnostics] = field(default_factory=list)
+    step_seconds: list[float] = field(default_factory=list)
     halt: Optional[HaltInfo] = None
 
     @property

@@ -58,7 +58,7 @@ from .invariants import (
     window_invariants,
     window_j2,
 )
-from .schemes import _ode_curve, advance_state, bootstrap, run_scheme, square
+from .schemes import _ode_curve, bootstrap, run_scheme, square
 
 _RK_RTOL = 1e-8
 _RK_ATOL = 1e-10
@@ -123,11 +123,22 @@ class ExperimentConfig:
 def _as_float(raw: dict, key: str) -> float:
     try:
         value = float(raw[key])
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"field {key!r} must be a number, got {raw[key]!r}")
     if not math.isfinite(value):
         raise ConfigError(f"field {key!r} must be finite, got {raw[key]!r}")
     return value
+
+
+def _path_text(value: object) -> bool:
+    """True for a string that the file system can take as (part of) a path."""
+    if not isinstance(value, str) or "\0" in value:
+        return False
+    try:
+        os.fsencode(value)
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 def config_from_raw(raw: dict) -> ExperimentConfig:
@@ -136,7 +147,8 @@ def config_from_raw(raw: dict) -> ExperimentConfig:
     Order-2 configs must provide (C, a) or yp0, and (C, a) with C >= 0
     when they run the invariant method; order-3 configs must provide yp0
     and ypp0.  Numbers must be finite, and h must be large enough to move
-    x0.  Unknown keys are rejected so typos surface.
+    x0.  name must be a plain file name stem and output a path string.
+    Unknown keys are rejected so typos surface.
     """
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
@@ -154,7 +166,7 @@ def config_from_raw(raw: dict) -> ExperimentConfig:
     order_raw = raw.get("order")
     order_map = {"second": 2, "third": 3, "2": 2, "3": 3, 2: 2, 3: 3}
     key = order_raw.lower() if isinstance(order_raw, str) else order_raw
-    if key not in order_map:
+    if not isinstance(key, (str, int)) or key not in order_map:
         raise ConfigError("order must be 'Second' or 'Third'")
     order = order_map[key]
     for needed in ("x0", "y0"):
@@ -168,7 +180,7 @@ def config_from_raw(raw: dict) -> ExperimentConfig:
     if order == 3 and ("yp0" not in ics or "ypp0" not in ics):
         raise ConfigError("order-3 config needs yp0 and ypp0")
     f_name = raw.get("F", "square")
-    if f_name not in F_CHOICES:
+    if not isinstance(f_name, str) or f_name not in F_CHOICES:
         raise ConfigError(f"unknown F {f_name!r}; choices: {sorted(F_CHOICES)}")
     h = _as_float(raw, "h") if "h" in raw else 0.01
     if not h > 0.0:
@@ -203,8 +215,14 @@ def config_from_raw(raw: dict) -> ExperimentConfig:
     seed = raw.get("seed")
     if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):
         raise ConfigError("seed must be an integer")
+    name = raw.get("name", "experiment")
+    if not _path_text(name) or name in ("", ".", "..") or Path(name).name != name:
+        raise ConfigError(f"name must be a plain file name stem, got {name!r}")
+    output = raw.get("output")
+    if output is not None and not _path_text(output):
+        raise ConfigError(f"output must be a directory path string, got {output!r}")
     return ExperimentConfig(
-        name=str(raw.get("name", "experiment")),
+        name=name,
         realization=realization,
         order=order,
         ics=ics,
@@ -213,7 +231,7 @@ def config_from_raw(raw: dict) -> ExperimentConfig:
         max_steps=max_steps,
         x_window=(float(window_raw[0]), float(window_raw[1])),
         methods=tuple(methods_raw),
-        output=raw.get("output"),
+        output=output,
         seed=seed,
     )
 
@@ -292,15 +310,10 @@ class MethodOutcome:
     trajectory: Trajectory = field(default_factory=Trajectory)
     seed_points: int = 0
     step_seconds: list[float] = field(default_factory=list)
-    error: Optional[str] = None
 
     @property
     def new_points(self) -> int:
         return max(0, len(self.trajectory.points) - self.seed_points)
-
-    @property
-    def failed(self) -> bool:
-        return self.error is not None or self.new_points == 0
 
 
 def _exact_conic(cfg: ExperimentConfig):
@@ -354,11 +367,8 @@ def _drive_invariant(cfg: ExperimentConfig) -> MethodOutcome:
     out = MethodOutcome("invariant")
     state = bootstrap(cfg.realization, cfg.order, cfg.ics, cfg.h, f=cfg.f)
     out.seed_points = len(state.window)
-    t0 = time.perf_counter()
     out.trajectory = run_scheme(state, cfg.max_steps, cfg.x_window)
-    elapsed = time.perf_counter() - t0
-    steps = max(1, len(out.trajectory.points) - out.seed_points)
-    out.step_seconds = [elapsed / steps] * steps
+    out.step_seconds = out.trajectory.step_seconds
     return out
 
 
@@ -450,6 +460,7 @@ def _drive_rk45(cfg: ExperimentConfig) -> MethodOutcome:
         detail=result.detail,
     )
     out.trajectory = Trajectory(points=pts, halt=halt)
+    # The integrator is timed as a whole, so every step gets the mean.
     steps = max(1, len(pts) - 1)
     out.step_seconds = [elapsed / steps] * steps
     return out
@@ -608,7 +619,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> RunR
         traj = outcome.trajectory
         entry.points = len(traj.points)
         entry.new_points = outcome.new_points
-        entry.error = outcome.error
         if traj.halt is not None:
             entry.halt_reason = traj.halt.reason
             entry.halt_x = traj.halt.x
@@ -644,36 +654,19 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> RunR
 def benchmark_step_cost(cfg: ExperimentConfig) -> dict:
     """Median wall seconds per accepted step, per requested method.
 
-    Steps each method under a timer until the config's step budget runs
-    out or the method halts; methods that survive the budget yield at
-    least the budgeted number of measured steps, methods that halt early
-    contribute the steps they managed.  The adaptive integrator is timed
-    in aggregate (total time over accepted steps).  The soft expectation
-    that the invariant scheme costs no more per step than standardFD is
-    returned as a flag, never asserted.
+    Runs each method's driver once, as run_experiment does, and takes the
+    median of the per-step times it records: the invariant scheme and
+    standardFD time every accepted step, up to the config's step budget or
+    the halt.  The adaptive integrator is timed as a whole, so its figure
+    is the mean over its accepted steps.  The soft expectation that the
+    invariant scheme costs no more per step than standardFD is returned as
+    a flag, never asserted.
     """
     per_step: dict[str, float] = {}
     steps_measured: dict[str, int] = {}
     for method in cfg.methods:
-        times: list[float] = []
         try:
-            if method == "invariant":
-                state = bootstrap(cfg.realization, cfg.order, cfg.ics, cfg.h, f=cfg.f)
-                from .schemes import step_with_diagnostics
-                for _ in range(cfg.max_steps):
-                    t0 = time.perf_counter()
-                    try:
-                        p_next, _diag = step_with_diagnostics(state)
-                    except NumericError:
-                        break
-                    times.append(time.perf_counter() - t0)
-                    state = advance_state(state, p_next)
-            elif method == "standardFD":
-                outcome = _drive_standard_fd(cfg)
-                times = outcome.step_seconds
-            else:
-                outcome = _drive_rk45(cfg)
-                times = outcome.step_seconds
+            times = _DRIVERS[method](cfg).step_seconds
         except (NumericError, ConfigError):
             times = []
         if times:
@@ -743,7 +736,11 @@ def _cmd_run(args) -> int:
     if args.seed is not None:
         raw["seed"] = args.seed
     cfg = config_from_raw(raw)
-    report = run_experiment(cfg, out_dir=args.out)
+    try:
+        report = run_experiment(cfg, out_dir=args.out)
+    except OSError as exc:
+        print(f"cannot write the outputs: {exc}", file=sys.stderr)
+        return 1
     print(f"report: {report.out_dir / (cfg.name + '_report.json')}")
     for method, entry in report.entries.items():
         if entry.error:

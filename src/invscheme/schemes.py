@@ -28,8 +28,10 @@ NoIntersection, which a runner records as the halting event.
 from __future__ import annotations
 
 import math
+import time
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Mapping, Optional, Sequence
 
 from .baselines import ode_rhs_library, rk45_integrate
@@ -78,12 +80,19 @@ class SchemeState:
     oldest first.  last_j1 is the three-point invariant of the current
     window (order 3 only).  side is the turning side carried for root
     selection: +1, -1, or 0 when not yet established.
+
+    pairs carries the pair invariants of consecutive window points, oldest
+    first.  bootstrap and advance_state fill it, so that a step evaluates
+    no pair invariant of its window; a state built without it evaluates
+    them on its first step.  targets are the step's targets, computed once
+    per state: the step computes them and advance_state reuses them.
     """
 
     window: tuple[Point2, ...]
     spec: SchemeSpec
     last_j1: Optional[float] = None
     side: float = 0.0
+    pairs: Optional[tuple[float, ...]] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.window) != self.spec.order:
@@ -93,6 +102,12 @@ class SchemeState:
             )
         if self.spec.order == 3 and self.last_j1 is None:
             raise ValueError("order-3 state needs last_j1")
+        if self.pairs is not None and len(self.pairs) != self.spec.order - 1:
+            raise ValueError("pairs needs one invariant per consecutive window pair")
+
+    @cached_property
+    def targets(self) -> SchemeTargets:
+        return scheme_targets(self)
 
 
 @dataclass(frozen=True)
@@ -128,6 +143,16 @@ def _pair_disc(realization: RealizationId) -> Callable[[Point2, Point2], float]:
     return disc_i1_sl3 if realization is RealizationId.SL3 else disc_i1_sl4
 
 
+def _conic(
+    realization: RealizationId, rx: float, ry: float, t: float
+) -> tuple[float, float, float, float, float, float]:
+    """(qxx, qxy, qyy, qx, qy, q0) of the level set around (rx, ry); see mesh_conic."""
+    if realization is RealizationId.SL3:
+        return 1.0, 0.0, 1.0, -(2.0 + t * t) * rx, -2.0 * ry, rx * rx + ry * ry
+    ph = t * t / (1.0 + t * t)
+    return -1.0, 0.0, 1.0, (2.0 - 4.0 * ph) * rx, -2.0 * ry, ry * ry - rx * rx
+
+
 def mesh_conic(realization: RealizationId, ref: Point2, t: float) -> ConicCoeffs:
     """The level set {p : pair invariant of (ref, p) = t} as a conic.
 
@@ -135,20 +160,7 @@ def mesh_conic(realization: RealizationId, ref: Point2, t: float) -> ConicCoeffs
     the level set is a circle-type conic; for sl4 it is e / (4 ref.x p.x
     - e) with e = dy^2 - dx^2, a rectangular hyperbola-type conic.
     """
-    if realization is RealizationId.SL3:
-        return ConicCoeffs(
-            1.0, 0.0, 1.0,
-            -(2.0 + t * t) * ref.x,
-            -2.0 * ref.y,
-            ref.x * ref.x + ref.y * ref.y,
-        )
-    ph = t * t / (1.0 + t * t)
-    return ConicCoeffs(
-        -1.0, 0.0, 1.0,
-        (2.0 - 4.0 * ph) * ref.x,
-        -2.0 * ref.y,
-        ref.y * ref.y - ref.x * ref.x,
-    )
+    return ConicCoeffs(*_conic(realization, ref.x, ref.y, t))
 
 
 @dataclass(frozen=True)
@@ -173,6 +185,15 @@ def _invert_j1(realization: RealizationId, sum_pair: float, prod: float, t: floa
     return sum_pair + prod * sum_pair * (1.0 + t * t / 2.0)
 
 
+def _window_pairs(state: SchemeState):
+    """The window's pair invariants, oldest first: the carried ones, or
+    evaluated one at a time as they are consumed."""
+    if state.pairs is not None:
+        return state.pairs
+    disc = _pair_disc(state.spec.realization)
+    return (disc(pa, pb) for pa, pb in zip(state.window, state.window[1:]))
+
+
 def scheme_targets(state: SchemeState) -> SchemeTargets:
     """Compute the step's target equations from the current window.
 
@@ -180,16 +201,14 @@ def scheme_targets(state: SchemeState) -> SchemeTargets:
     (negative J1 target on the principal branch, or nonpositive M).
     """
     spec = state.spec
-    disc = _pair_disc(spec.realization)
     k = spec.K
     if spec.order == 2:
-        i1n = disc(state.window[-2], state.window[-1])
+        (i1n,) = _window_pairs(state)
         t = spec.C
         m = _invert_j1(spec.realization, i1n + k, i1n * k, t)
         j1_next = None
     else:
-        i1n = disc(state.window[-3], state.window[-2])
-        i1n1 = disc(state.window[-2], state.window[-1])
+        i1n, i1n1 = _window_pairs(state)
         s3 = i1n + i1n1 + k
         tau = state.last_j1
         if spec.realization is RealizationId.SL3:
@@ -212,14 +231,29 @@ def scheme_targets(state: SchemeState) -> SchemeTargets:
 
 
 def _check_mesh(state: SchemeState) -> None:
-    disc = _pair_disc(state.spec.realization)
-    for pa, pb in zip(state.window, state.window[1:]):
-        if not near_equal(disc(pa, pb), state.spec.K, _MESH_GUARD):
+    for value, pb in zip(_window_pairs(state), state.window[1:]):
+        if not near_equal(value, state.spec.K, _MESH_GUARD):
             raise DomainViolation(
-                f"window pair invariant {disc(pa, pb):.6e} does not match "
+                f"window pair invariant {value:.6e} does not match "
                 f"the mesh constant {state.spec.K:.6e}",
                 pb,
             )
+
+
+def _line(
+    realization: RealizationId, p_prev: Point2, p_last: Point2, k: float, m: float
+) -> tuple[tuple[float, float, float], tuple[float, float, float, float, float, float]]:
+    """Unit-normal line (a, b, d) of the step and its mesh conic; see
+    reduce_to_line_conic."""
+    mesh = _conic(realization, p_last.x, p_last.y, k)
+    outer = _conic(realization, p_prev.x, p_prev.y, m)
+    a = mesh[3] - outer[3]
+    b = mesh[4] - outer[4]
+    d = outer[5] - mesh[5]
+    nrm = math.hypot(a, b)
+    if nrm == 0.0:
+        raise DomainViolation("conic difference is degenerate, no line", p_last)
+    return (a / nrm, b / nrm, d / nrm), mesh
 
 
 def reduce_to_line_conic(state: SchemeState) -> tuple[LineCoeffs, ConicCoeffs]:
@@ -234,98 +268,11 @@ def reduce_to_line_conic(state: SchemeState) -> tuple[LineCoeffs, ConicCoeffs]:
     Raises DomainViolation when the difference degenerates (no line),
     in which case the caller should fall back to the 2-D Newton solver.
     """
-    targets = scheme_targets(state)
-    real = state.spec.realization
-    p_last = state.window[-1]
-    p_prev = state.window[-2]
-    mesh = mesh_conic(real, p_last, state.spec.K)
-    outer = mesh_conic(real, p_prev, targets.m)
-    a = mesh.qx - outer.qx
-    b = mesh.qy - outer.qy
-    d = outer.q0 - mesh.q0
-    nrm = math.hypot(a, b)
-    if nrm == 0.0:
-        raise DomainViolation("conic difference is degenerate, no line", p_last)
-    return LineCoeffs(a / nrm, b / nrm, d / nrm), mesh
-
-
-def _roots_on_line(
-    line: LineCoeffs, conic: ConicCoeffs, anchor: Point2, band: float
-) -> list[Point2]:
-    """Intersection points of line and conic via a stable quadratic.
-
-    The line is parametrized from the foot of the perpendicular dropped
-    from anchor, which keeps the parameter small near the region of
-    interest.  band is the absolute tolerance below zero within which the
-    discriminant is treated as a tangency (double root); anything more
-    negative raises NoIntersection.
-    """
-    nrm = math.hypot(line.a, line.b)
-    la, lb, ld = line.a / nrm, line.b / nrm, line.d / nrm
-    t0 = la * anchor.x + lb * anchor.y - ld
-    bx, by = anchor.x - t0 * la, anchor.y - t0 * lb
-    dx, dy = lb, -la
-    alpha = conic.qxx * dx * dx + conic.qxy * dx * dy + conic.qyy * dy * dy
-    beta = (
-        2.0 * conic.qxx * bx * dx
-        + conic.qxy * (bx * dy + by * dx)
-        + 2.0 * conic.qyy * by * dy
-        + conic.qx * dx
-        + conic.qy * dy
+    line, mesh = _line(
+        state.spec.realization, state.window[-2], state.window[-1],
+        state.spec.K, state.targets.m,
     )
-    gamma = (
-        conic.qxx * bx * bx
-        + conic.qxy * bx * by
-        + conic.qyy * by * by
-        + conic.qx * bx
-        + conic.qy * by
-        + conic.q0
-    )
-    if abs(alpha) < 1e-13 * (abs(beta) + 1.0):
-        if beta == 0.0:
-            raise NoIntersection("line/conic system is degenerate", anchor)
-        ts = [-gamma / beta]
-    else:
-        disc = beta * beta - 4.0 * alpha * gamma
-        if disc < 0.0:
-            if disc >= -band:
-                disc = 0.0
-            else:
-                raise NoIntersection(
-                    f"negative intersection discriminant {disc:.3e}", anchor
-                )
-        sq = math.sqrt(disc)
-        q = -0.5 * (beta + math.copysign(sq, beta))
-        ts = [q / alpha] if q == 0.0 else [q / alpha, gamma / q]
-    return [Point2(bx + t * dx, by + t * dy) for t in ts]
-
-
-def solve_line_conic(
-    line: LineCoeffs, conic: ConicCoeffs, prev: Point2, prev_dir: tuple[float, float]
-) -> Point2:
-    """Pick the line/conic intersection that continues past prev.
-
-    Substitutes the line into the conic and solves the quadratic with the
-    stable (sign-aware) root formula.  Roots whose displacement from prev
-    has positive inner product with prev_dir qualify; of two qualifying
-    roots the one farther from prev wins, which avoids re-selecting the
-    current point.  A discriminant within [-1e-12, 0] counts as tangency
-    and yields the double root; below that raises NoIntersection, as does
-    the absence of any qualifying root.
-    """
-    roots = _roots_on_line(line, conic, prev, band=1e-12)
-    best: Optional[Point2] = None
-    best_d2 = -1.0
-    for r in roots:
-        rx, ry = r.x - prev.x, r.y - prev.y
-        if rx * prev_dir[0] + ry * prev_dir[1] <= 0.0:
-            continue
-        d2 = rx * rx + ry * ry
-        if d2 > best_d2:
-            best, best_d2 = r, d2
-    if best is None:
-        raise NoIntersection("no root continues past the previous point", prev)
-    return best
+    return LineCoeffs(*line), ConicCoeffs(*mesh)
 
 
 def turning_side(p0: Point2, p1: Point2, p2: Point2, fallback: float = 0.0) -> float:
@@ -342,106 +289,141 @@ def turning_side(p0: Point2, p1: Point2, p2: Point2, fallback: float = 0.0) -> f
     return fallback
 
 
-def _pick_step_root(
-    roots: Sequence[Point2], p_prev: Point2, p_last: Point2, side: float
-) -> Point2:
-    """Forward, in-domain root consistent with the carried turning side.
+def _fast_step(
+    realization: RealizationId, p_prev: Point2, p_last: Point2, k: float, m: float, side: float
+) -> tuple[float, float, float, float, int]:
+    """The step's fast path on plain floats: reduction, root pick, polish.
 
-    Of the mirror pair, prefer the root whose turn matches side (any turn
-    matches side 0); among equals take the root nearest the linear
-    extrapolation of the last chord.  The extrapolation misses the smooth
-    continuation by O(K^2) while the mirror root sits O(K) away, so
-    nearness separates them cleanly; picking by forward distance instead
-    can capture the mirror, whose displacement in the hyperbolic-rotation
-    geometry grows without bound as chords approach slope +-1.
+    The line, parametrized from the foot of the perpendicular dropped from
+    p_last (which keeps the parameter small), meets the mesh conic in a
+    quadratic solved by the stable (sign-aware) formula; a discriminant
+    within 1e-10 below zero counts as a tangency (double root).
+
+    Of the roots forward of the last chord and in the half plane, prefer
+    the one whose turn matches side (any turn matches side 0); among equals
+    take the root nearest the linear extrapolation of the last chord.  The
+    extrapolation misses the smooth continuation by O(K^2) while the mirror
+    root sits O(K) away, so nearness separates them cleanly; picking by
+    forward distance instead can capture the mirror, whose displacement in
+    the hyperbolic-rotation geometry grows without bound as chords approach
+    slope +-1.
+
+    Returns _polish's result for that root.  Raises DomainViolation when
+    the reduction degenerates, NoIntersection when no root is admissible.
     """
-    pdx, pdy = p_last.x - p_prev.x, p_last.y - p_prev.y
-    gx, gy = p_last.x + pdx, p_last.y + pdy
-    best: Optional[Point2] = None
-    best_key: tuple[bool, float] | None = None
-    for r in roots:
-        if r.x <= 0.0:
+    (la, lb, ld), (qxx, qxy, qyy, qx, qy, q0) = _line(realization, p_prev, p_last, k, m)
+    # A second normalization: dropping it moves the last bit of some roots,
+    # and with them the written trajectories.
+    nrm = math.hypot(la, lb)
+    la, lb, ld = la / nrm, lb / nrm, ld / nrm
+    ax, ay = p_last.x, p_last.y
+    t0 = la * ax + lb * ay - ld
+    bx, by = ax - t0 * la, ay - t0 * lb
+    dx, dy = lb, -la
+    alpha = qxx * dx * dx + qxy * dx * dy + qyy * dy * dy
+    beta = (
+        2.0 * qxx * bx * dx + qxy * (bx * dy + by * dx) + 2.0 * qyy * by * dy
+        + qx * dx + qy * dy
+    )
+    gamma = qxx * bx * bx + qxy * bx * by + qyy * by * by + qx * bx + qy * by + q0
+    if abs(alpha) < 1e-13 * (abs(beta) + 1.0):
+        if beta == 0.0:
+            raise NoIntersection("line/conic system is degenerate", p_last)
+        ts: tuple[float, ...] = (-gamma / beta,)
+    else:
+        disc = beta * beta - 4.0 * alpha * gamma
+        if disc < 0.0:
+            if disc < -1e-10:
+                raise NoIntersection(
+                    f"negative intersection discriminant {disc:.3e}", p_last
+                )
+            disc = 0.0
+        sq = math.sqrt(disc)
+        q = -0.5 * (beta + math.copysign(sq, beta))
+        ts = (q / alpha,) if q == 0.0 else (q / alpha, gamma / q)
+    pdx, pdy = ax - p_prev.x, ay - p_prev.y
+    gx, gy = ax + pdx, ay + pdy
+    best = None
+    for t in ts:
+        x, y = bx + t * dx, by + t * dy
+        if x <= 0.0:
             continue
-        rx, ry = r.x - p_last.x, r.y - p_last.y
-        fwd = rx * pdx + ry * pdy
-        if fwd <= 0.0:
+        rx, ry = x - ax, y - ay
+        if rx * pdx + ry * pdy <= 0.0:
             continue
-        cross = pdx * ry - pdy * rx
-        key = (cross * side >= 0.0, -math.hypot(r.x - gx, r.y - gy))
-        if best is None or key > best_key:
-            best, best_key = r, key
+        key = ((pdx * ry - pdy * rx) * side >= 0.0, -math.hypot(x - gx, y - gy))
+        if best is None or key > best[0]:
+            best = key, x, y
     if best is None:
         raise NoIntersection("no admissible forward root", p_last)
-    return best
+    return _polish(realization, p_prev, p_last, k, m, best[1], best[2])
 
 
 def _disc_grad(
-    realization: RealizationId, ref: Point2, p: Point2
+    realization: RealizationId, rx: float, ry: float, x: float, y: float
 ) -> tuple[float, float, float]:
-    """Pair invariant of (ref, p) and its gradient with respect to p."""
-    dx, dy = p.x - ref.x, p.y - ref.y
+    """Pair invariant of ((rx, ry), (x, y)) and its gradient in (x, y)."""
+    dx, dy = x - rx, y - ry
     if realization is RealizationId.SL3:
-        den = ref.x * p.x
+        den = rx * x
         if den <= 0.0:
-            raise DomainViolation("pair invariant needs x > 0", p)
+            raise DomainViolation("pair invariant needs x > 0", Point2(x, y))
         d2 = (dx * dx + dy * dy) / den
         d = math.sqrt(d2)
         if d == 0.0:
-            raise DomainViolation("coincident pair", p)
-        gx = (2.0 * dx / den - d2 / p.x) / (2.0 * d)
+            raise DomainViolation("coincident pair", Point2(x, y))
+        gx = (2.0 * dx / den - d2 / x) / (2.0 * d)
         gy = dy / (den * d)
         return d, gx, gy
     e = dy * dy - dx * dx
-    den = 4.0 * ref.x * p.x - e
+    den = 4.0 * rx * x - e
     if e <= 0.0 or den <= 0.0:
-        raise DomainViolation("pair outside the sl4 invariant domain", p)
+        raise DomainViolation("pair outside the sl4 invariant domain", Point2(x, y))
     d2 = e / den
     d = math.sqrt(d2)
     ex, ey = -2.0 * dx, 2.0 * dy
-    dnx, dny = 4.0 * ref.x - ex, -ey
+    dnx, dny = 4.0 * rx - ex, -ey
     gx = (ex * den - e * dnx) / (den * den) / (2.0 * d)
     gy = (ey * den - e * dny) / (den * den) / (2.0 * d)
     return d, gx, gy
 
 
 def _polish(
-    realization: RealizationId,
-    p_prev: Point2,
-    p_last: Point2,
-    k: float,
-    m: float,
-    p: Point2,
-) -> tuple[Point2, float, int]:
+    realization: RealizationId, p_prev: Point2, p_last: Point2, k: float, m: float,
+    x: float, y: float,
+) -> tuple[float, float, float, float, int]:
     """Few analytic Newton corrections on the two pair-invariant equations.
 
-    Returns (point, max residual, iterations).  The residual is infinite
-    when the iterate leaves the invariant domain.
+    Returns (x, y, mesh residual, scheme residual, iterations).  The
+    residuals are those of the returned point, |I(p_last, p) - k| and
+    |I(p_prev, p) - m| with the operations of _step_residuals, so they are
+    the same bits; both are infinite when the iterate leaves the invariant
+    domain.
     """
+    lx, ly, px, py = p_last.x, p_last.y, p_prev.x, p_prev.y
     iters = 0
     for _ in range(4):
         try:
-            da, gax, gay = _disc_grad(realization, p_last, p)
-            db, gbx, gby = _disc_grad(realization, p_prev, p)
+            da, gax, gay = _disc_grad(realization, lx, ly, x, y)
+            db, gbx, gby = _disc_grad(realization, px, py, x, y)
         except DomainViolation:
-            return p, math.inf, iters
+            return x, y, math.inf, math.inf, iters
         r1, r2 = da - k, db - m
-        res = max(abs(r1), abs(r2))
-        if res < 1e-14 * max(1.0, k):
-            return p, res, iters
+        if max(abs(r1), abs(r2)) < 1e-14 * max(1.0, k):
+            return x, y, abs(r1), abs(r2), iters
         det = gax * gby - gay * gbx
         if det == 0.0:
-            return p, res, iters
+            return x, y, abs(r1), abs(r2), iters
         sx = (gby * r1 - gay * r2) / det
         sy = (gax * r2 - gbx * r1) / det
-        p = Point2(p.x - sx, p.y - sy)
+        x, y = x - sx, y - sy
         iters += 1
     try:
-        da, _, _ = _disc_grad(realization, p_last, p)
-        db, _, _ = _disc_grad(realization, p_prev, p)
-        res = max(abs(da - k), abs(db - m))
+        da = _disc_grad(realization, lx, ly, x, y)[0]
+        db = _disc_grad(realization, px, py, x, y)[0]
     except DomainViolation:
-        res = math.inf
-    return p, res, iters
+        return x, y, math.inf, math.inf, iters
+    return x, y, abs(da - k), abs(db - m), iters
 
 
 def _step_residuals(state: SchemeState, m: float, p: Point2) -> tuple[float, float]:
@@ -461,7 +443,7 @@ def newton_fallback_step(state: SchemeState, guess: Point2) -> Point2:
     both residuals are at most 1e-12; an already-exact guess returns
     immediately.  Raises NewtonDivergence otherwise.
     """
-    targets = scheme_targets(state)
+    targets = state.targets
     disc = _pair_disc(state.spec.realization)
     p_last, p_prev = state.window[-1], state.window[-2]
     k, m = state.spec.K, targets.m
@@ -537,31 +519,36 @@ def _extrapolated_guess(state: SchemeState) -> Point2:
 
 
 def step_with_diagnostics(state: SchemeState) -> tuple[Point2, StepDiagnostics]:
-    """One scheme step: line/conic fast path, Newton fallback, diagnostics."""
+    """One scheme step: line/conic fast path, Newton fallback, diagnostics.
+
+    Each quantity is computed once.  The mesh guard and the targets read
+    the state's carried pair invariants, and the targets stay on the state
+    for advance_state.  The fast path's polish returns the residuals of
+    its last iterate; only the Newton fallback evaluates them afresh.  A
+    residual above 5e-11 (or not a number) sends the point to the fallback.
+    """
     _check_mesh(state)
     spec = state.spec
-    targets = scheme_targets(state)
+    targets = state.targets
     p_prev, p_last = state.window[-2], state.window[-1]
     try:
-        line, conic = reduce_to_line_conic(state)
-        roots = _roots_on_line(line, conic, p_last, band=1e-10)
-        root = _pick_step_root(roots, p_prev, p_last, state.side)
-        root, res, iters = _polish(
-            spec.realization, p_prev, p_last, spec.K, targets.m, root
+        x, y, mesh_res, scheme_res, iters = _fast_step(
+            spec.realization, p_prev, p_last, spec.K, targets.m, state.side
         )
+        root = Point2(x, y)
     except DomainViolation:
         root = newton_fallback_step(state, _extrapolated_guess(state))
-        res = max(_step_residuals(state, targets.m, root))
+        mesh_res, scheme_res = _step_residuals(state, targets.m, root)
         iters = 50
-    if res > _RESIDUAL_HALT:
+    if not max(mesh_res, scheme_res) <= _RESIDUAL_HALT:
         root = newton_fallback_step(state, root)
-        res = max(_step_residuals(state, targets.m, root))
+        mesh_res, scheme_res = _step_residuals(state, targets.m, root)
         iters += 1
+        res = max(mesh_res, scheme_res)
         if res > _RESIDUAL_HALT:
             raise NewtonDivergence(
                 f"step residual {res:.3e} did not converge", root
             )
-    mesh_res, scheme_res = _step_residuals(state, targets.m, root)
     j1 = window_j1(spec.realization, p_prev, p_last, root)
     j2 = None
     if spec.order == 3:
@@ -575,34 +562,26 @@ def step_with_diagnostics(state: SchemeState) -> tuple[Point2, StepDiagnostics]:
     )
 
 
-def step_order2(state: SchemeState) -> Point2:
-    """Next point of the order-2 scheme (J1 = C on a constant-K mesh)."""
-    if state.spec.order != 2:
-        raise ValueError("step_order2 needs an order-2 state")
-    return step_with_diagnostics(state)[0]
-
-
-def step_order3(state: SchemeState) -> Point2:
-    """Next point of the order-3 scheme (J2 = F(J1) on a constant-K mesh)."""
-    if state.spec.order != 3:
-        raise ValueError("step_order3 needs an order-3 state")
-    return step_with_diagnostics(state)[0]
-
-
 def advance_state(state: SchemeState, p_next: Point2) -> SchemeState:
-    """Slide the window over p_next and update side and last_j1."""
-    new_side = turning_side(
-        state.window[-2], state.window[-1], p_next, fallback=state.side
-    )
-    last_j1 = None
-    if state.spec.order == 3:
-        last_j1 = scheme_targets(state).j1_next
-    return replace(
-        state,
-        window=state.window[1:] + (p_next,),
-        last_j1=last_j1,
-        side=new_side,
-    )
+    """Slide the window over p_next and carry what the next step needs.
+
+    The next state gets the turning side, at order 3 the J1 target of the
+    update rule (from the targets the step left on state), and the pair
+    invariants of its window: the carried ones plus one evaluation for the
+    pair that p_next closes.  When that evaluation raises, the pairs stay
+    uncomputed, and the next step evaluates them and raises in turn.
+    """
+    spec, window = state.spec, state.window
+    side = turning_side(window[-2], window[-1], p_next, fallback=state.side)
+    last_j1 = state.targets.j1_next if spec.order == 3 else None
+    pairs = None
+    try:
+        newest = _pair_disc(spec.realization)(window[-1], p_next)
+    except NumericError:
+        pass
+    else:
+        pairs = (newest,) if spec.order == 2 else (state.targets.i1_window, newest)
+    return SchemeState(window[1:] + (p_next,), spec, last_j1, side, pairs)
 
 
 # -- bootstrap ----------------------------------------------------------------
@@ -751,7 +730,7 @@ def bootstrap(
         t2 = next_chord_point(sol, t1, h, direction)
         side = turning_side(p0, p1, point_at(sol, t2))
         spec = SchemeSpec(realization, 2, K=k, C=c)
-        return SchemeState((p0, p1), spec, None, side)
+        return SchemeState((p0, p1), spec, None, side, (k,))
 
     if order != 3:
         raise ValueError("order must be 2 or 3")
@@ -776,14 +755,13 @@ def bootstrap(
 
     x2 = _bracket_and_bisect(invariant_gap, x1, 1e-4, 1e6)
     p2 = curve(x2)
-    if abs(disc(p1, p2) - k) > 1e-6:
-        raise NumericError(
-            f"second pair invariant {disc(p1, p2):.6e} missed K={k:.6e}", x2
-        )
+    k2 = disc(p1, p2)
+    if abs(k2 - k) > 1e-6:
+        raise NumericError(f"second pair invariant {k2:.6e} missed K={k:.6e}", x2)
     tau = window_j1(realization, p0, p1, p2)
     side = turning_side(p0, p1, p2)
     spec = SchemeSpec(realization, 3, K=k, F=rhs)
-    return SchemeState((p0, p1, p2), spec, tau, side)
+    return SchemeState((p0, p1, p2), spec, tau, side, (k, k2))
 
 
 def run_scheme(
@@ -794,14 +772,16 @@ def run_scheme(
     """Repeat the step until max steps, x-range exit, or a numeric halt.
 
     The trajectory starts with the window points and records per-step
-    diagnostics; whatever stops the run is stored in the halt record, so
-    failures are data rather than exceptions.  A point that lands outside
-    x_window is kept (it is the evidence of the exit).
+    diagnostics and the wall seconds of every accepted step; whatever stops
+    the run is stored in the halt record, so failures are data rather than
+    exceptions.  A point that lands outside x_window is kept (it is the
+    evidence of the exit).
     """
     traj = Trajectory(points=list(state.window))
     if max_steps <= 0:
         traj.halt = HaltInfo("maxSteps", x=state.window[-1].x, detail="0 steps requested")
         return traj
+    t0 = time.perf_counter()
     for _ in range(max_steps):
         try:
             p_next, diag = step_with_diagnostics(state)
@@ -811,6 +791,9 @@ def run_scheme(
         traj.points.append(p_next)
         traj.diagnostics.append(diag)
         state = advance_state(state, p_next)
+        t1 = time.perf_counter()
+        traj.step_seconds.append(t1 - t0)
+        t0 = t1
         if x_window is not None and not (x_window[0] <= p_next.x <= x_window[1]):
             traj.halt = HaltInfo(
                 "xRangeExit", x=p_next.x,

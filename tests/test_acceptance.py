@@ -47,7 +47,6 @@ from invscheme import (
     rk45_integrate,
     run_experiment,
     scheme_targets,
-    solve_line_conic,
     square,
     step_with_diagnostics,
     stencil_d1_4pt,
@@ -59,7 +58,7 @@ from invscheme import (
 )
 from invscheme.baselines import expanded_residual_sl3, expanded_residual_sl4
 
-from helpers import random_group_element
+from helpers import random_group_element, solve_line_conic
 
 
 @contextlib.contextmanager

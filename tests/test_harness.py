@@ -2,11 +2,18 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invscheme.core import Point2, Trajectory
 from invscheme.harness import (
+    _CONFIG_KEYS,
     ConfigError,
     all_singularities,
     benchmark_step_cost,
@@ -355,3 +362,76 @@ def test_cli_invariants_numeric_failure_exits_2(capsys):
     ])
     assert code == 2
     assert "invariant evaluation failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "change",
+    [{"name": "a/b"}, {"order": ["x"]}, {"F": ["square"]}, {"output": 5}],
+    ids=["name-with-slash", "order-list", "F-list", "output-number"],
+)
+def test_cli_run_rejects_malformed_fields(tmp_path, capsys, monkeypatch, change):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.json").write_text(json.dumps({**_FIG1_RAW, **change}))
+    assert cli_main(["run", "bad.json"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+    assert next(iter(change)) in err
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
+
+
+_JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 20),
+    st.floats(-1e3, 1e3), st.sampled_from([math.nan, math.inf, -math.inf, 1e-300]),
+    st.text(max_size=6), st.lists(st.integers(-1, 3), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+)
+_PLAUSIBLE = {
+    "name": st.sampled_from(["fuzz", "a/b", ".", "", "x" * 300, "a\0b", "\ud800"])
+    | st.text(max_size=12),
+    "realization": st.sampled_from(["sl3", "sl4", "SL4"]),
+    "order": st.sampled_from(["Second", "Third", "third", 2, 3, "3"]),
+    "F": st.sampled_from(["square", "identity", "zero"]),
+    "h": st.floats(1e-3, 0.3),
+    "maxSteps": st.integers(0, 20),
+    "xWindow": st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=2),
+    "methods": st.lists(st.sampled_from(["invariant", "standardFD", "rk45"]), max_size=3),
+    "output": st.text(max_size=8),
+    "seed": st.integers(0, 100),
+    "x0": st.floats(0.05, 5.0),
+    "y0": st.floats(-10.0, 10.0),
+    "yp0": st.floats(-3.0, 3.0),
+    "ypp0": st.floats(-5.0, 5.0),
+    "C": st.floats(-1.0, 6.0),
+    "a": st.floats(-1.0, 3.0),
+}
+_REQUIRED = ("realization", "order", "x0", "y0")
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(
+    st.fixed_dictionaries(
+        {k: _PLAUSIBLE[k] | _JUNK for k in _REQUIRED},
+        optional={k: _PLAUSIBLE[k] | _JUNK for k in sorted(_CONFIG_KEYS) if k not in _REQUIRED},
+    )
+)
+def test_cli_run_survives_any_config(raw):
+    """Any flat config of mixed-type values ends in exit code 0, 1 or 2,
+    never in an exception.  Numbers are drawn from moderate ranges and
+    maxSteps stays at most 20, so that every run is short."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.json")
+        with open(path, "w") as fh:
+            json.dump(raw, fh)
+        assert cli_main(["run", path, "--out", os.path.join(tmp, "out")]) in (0, 1, 2)
+
+
+def test_python_dash_m_invscheme_runs_cleanly():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "invscheme", "list"],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.split() == ["fig1", "fig2", "fig3", "fig4"]
+    assert proc.stderr == ""

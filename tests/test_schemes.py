@@ -14,6 +14,7 @@ from invscheme import (
     LineCoeffs,
     NewtonDivergence,
     NoIntersection,
+    NumericError,
     Point2,
     RealizationId,
     SchemeSpec,
@@ -21,6 +22,7 @@ from invscheme import (
     act,
     advance_state,
     bootstrap,
+    builtin_experiments,
     disc_i1_sl3,
     disc_i1_sl4,
     fit_circle,
@@ -33,10 +35,7 @@ from invscheme import (
     reduce_to_line_conic,
     run_scheme,
     scheme_targets,
-    solve_line_conic,
     square,
-    step_order2,
-    step_order3,
     step_with_diagnostics,
     turning_side,
     window_j1,
@@ -44,6 +43,8 @@ from invscheme import (
 )
 from invscheme import schemes
 from invscheme.baselines import rk45_integrate
+
+from helpers import solve_line_conic
 
 FIG1_ICS = {"x0": 1.0, "y0": 8.0, "C": 2.0, "a": 1.0}
 FIG2_ICS = {"x0": 1.0, "y0": 1.0, "yp0": 1.0, "ypp0": 3.0}
@@ -486,15 +487,7 @@ def test_degenerate_window_rejected():
     p = Point2(1.0, 1.0)
     spec = SchemeSpec(RealizationId.SL3, 3, K=0.1, F=square)
     with pytest.raises((DomainViolation, ValueError)):
-        step_order3(SchemeState((p, p, p), spec, last_j1=0.0))
-
-
-def test_step_order_wrappers_check_order():
-    state = _sl3_order2_state(2.0, 1.0, k=0.05)
-    with pytest.raises(ValueError):
-        step_order3(state)
-    p = step_order2(state)
-    assert abs(disc_i1_sl3(state.window[-1], p) - state.spec.K) < 1e-12
+        step_with_diagnostics(SchemeState((p, p, p), spec, last_j1=0.0))
 
 
 def test_scheme_targets_no_intersection():
@@ -526,6 +519,78 @@ def test_run_scheme_records_numeric_halt():
     traj = run_scheme(state, 5000)
     assert traj.halt.reason in ("noIntersection", "newtonDivergence")
     assert traj.halt.x is not None
+
+
+# -- carried pair invariants ------------------------------------------------------
+
+
+def _fig_run_states(name, h, monkeypatch):
+    """Every state run_scheme steps from along a builtin invariant run."""
+    cfg = next(c for c in builtin_experiments() if c.name == name)
+    state = bootstrap(cfg.realization, cfg.order, cfg.ics, h, f=cfg.f)
+    states = []
+    step = schemes.step_with_diagnostics
+
+    def recording(s):
+        states.append(s)
+        return step(s)
+
+    monkeypatch.setattr(schemes, "step_with_diagnostics", recording)
+    run_scheme(state, cfg.max_steps, cfg.x_window)
+    monkeypatch.undo()
+    return states
+
+
+def _step_outcome(state):
+    try:
+        p, diag = step_with_diagnostics(state)
+    except NumericError as exc:
+        return type(exc), exc.detail
+    return p, diag.j1, diag.j2, diag.mesh_residual, diag.scheme_residual, diag.iterations
+
+
+@pytest.mark.parametrize("name", ["fig1", "fig2", "fig3", "fig4"])
+@pytest.mark.parametrize("h", [0.01, 0.005])
+def test_carried_values_change_no_bit(name, h, monkeypatch):
+    """A carried state steps exactly as the same state built by hand, which
+    evaluates its pair invariants itself; the carried pairs are the pair
+    invariants of the window and the step's residuals those of its point,
+    bit for bit."""
+    states = _fig_run_states(name, h, monkeypatch)
+    assert len(states) > 200
+    disc = disc_i1_sl3 if states[0].spec.realization is RealizationId.SL3 else disc_i1_sl4
+    for s in states:
+        assert s.pairs == tuple(disc(a, b) for a, b in zip(s.window, s.window[1:]))
+        fresh = SchemeState(s.window, s.spec, s.last_j1, s.side)
+        assert fresh.pairs is None
+        outcome = _step_outcome(s)
+        assert outcome == _step_outcome(fresh)
+        if isinstance(outcome[0], Point2):
+            p, _, _, mesh_res, scheme_res, _ = outcome
+            assert mesh_res == abs(disc(s.window[-1], p) - s.spec.K)
+            assert scheme_res == abs(disc(s.window[-2], p) - scheme_targets(s).m)
+
+
+@pytest.mark.parametrize("name", ["fig1", "fig2", "fig3", "fig4"])
+def test_step_evaluates_one_pair_invariant(name, monkeypatch):
+    """One step plus advance_state on a carried state evaluates the pair
+    invariant once: for the pair the new point closes."""
+    cfg = next(c for c in builtin_experiments() if c.name == name)
+    state = bootstrap(cfg.realization, cfg.order, cfg.ics, cfg.h, f=cfg.f)
+    calls = []
+    for fn in ("disc_i1_sl3", "disc_i1_sl4"):
+        original = getattr(schemes, fn)
+
+        def counting(pa, pb, original=original):
+            calls.append((pa, pb))
+            return original(pa, pb)
+
+        monkeypatch.setattr(schemes, fn, counting)
+    for _ in range(3):
+        calls.clear()
+        p, _ = step_with_diagnostics(state)
+        state = advance_state(state, p)
+        assert calls == [(state.window[-2], p)]
 
 
 # -- bootstrap -------------------------------------------------------------------
