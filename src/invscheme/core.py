@@ -65,21 +65,9 @@ class NewtonDivergence(NumericError):
     kind = "newtonDivergence"
 
 
-class StepUnderflow(NumericError):
-    """An adaptive integrator's step size collapsed below resolution."""
-
-    kind = "stepUnderflow"
-
-
-class SingularityDetected(NumericError):
-    """State magnitude exceeded the blow-up threshold."""
-
-    kind = "singularityDetected"
-
-
-def validate_point(p: Point2, realization: RealizationId) -> bool:
-    """True when p lies in the open half plane x > 0 (both realizations)."""
-    del realization
+def validate_point(p: Point2) -> bool:
+    """True when p is finite and lies in the open half plane x > 0, the
+    domain of both realizations."""
     return p.is_finite() and p.x > 0.0
 
 
@@ -155,14 +143,6 @@ class Trajectory:
     diagnostics: list[StepDiagnostics] = field(default_factory=list)
     step_seconds: list[float] = field(default_factory=list)
     halt: Optional[HaltInfo] = None
-
-    @property
-    def xs(self) -> list[float]:
-        return [p.x for p in self.points]
-
-    @property
-    def ys(self) -> list[float]:
-        return [p.y for p in self.points]
 
     def __len__(self) -> int:
         return len(self.points)

@@ -5,7 +5,7 @@ analogue has rectangular hyperbolas (x - cx)^2 - (y - cy)^2 = r^2 with
 asymptote slopes +-1.  Both families are in closed form here and serve as
 trusted references: fitting a conic with prescribed invariant C and scale
 a through a point, measuring distance from a point to the conic, and
-walking along the conic with prescribed pair-invariant spacing.
+walking along the conic by chord length.
 
 Sign conventions (derived by implicit differentiation of the conics):
 on a circle I1 = (cx / r) * sign(y - cy); on a hyperbola
@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 from .core import DomainViolation, Point2
-from .invariants import disc_i1_sl3, disc_i1_sl4
 
 
 @dataclass(frozen=True)
@@ -35,9 +34,6 @@ class CircleSolution:
     def theta_of(self, p: Point2) -> float:
         return math.atan2(p.y - self.cy, p.x - self.cx)
 
-    def contains(self, p: Point2, tol: float = 1e-9) -> bool:
-        return abs(math.hypot(p.x - self.cx, p.y - self.cy) - self.r) <= tol * (1.0 + self.r)
-
 
 @dataclass(frozen=True)
 class HyperbolaSolution:
@@ -53,10 +49,6 @@ class HyperbolaSolution:
 
     def t_of(self, p: Point2) -> float:
         return math.asinh((p.y - self.cy) / self.r)
-
-    def contains(self, p: Point2, tol: float = 1e-9) -> bool:
-        q = (p.x - self.cx) ** 2 - (p.y - self.cy) ** 2 - self.r * self.r
-        return abs(q) <= tol * (1.0 + self.r * self.r)
 
 
 def fit_circle(p0: Point2, c: float, a: float) -> list[CircleSolution]:
@@ -151,30 +143,6 @@ def slope_at(sol: CircleSolution | HyperbolaSolution, p: Point2) -> float:
     return dx / dy
 
 
-def initial_slope_from_solution(
-    sol: CircleSolution | HyperbolaSolution, x0: float
-) -> tuple[float, ...]:
-    """Slopes dy/dx of the conic at abscissa x0, one per y branch.
-
-    The upper branch (larger y) comes first.  Raises DomainViolation when
-    x0 is outside the conic's x range or sits on a vertical tangent (the
-    circle's leftmost/rightmost points, the hyperbola's vertices).
-    """
-    dx = x0 - sol.cx
-    if isinstance(sol, CircleSolution):
-        rad = sol.r * sol.r - dx * dx
-    else:
-        rad = dx * dx - sol.r * sol.r
-    if rad < 0.0:
-        raise DomainViolation("x0 outside the conic's x range", x0)
-    if rad == 0.0:
-        raise DomainViolation("vertical tangent on the conic", x0)
-    root = math.sqrt(rad)
-    return tuple(
-        slope_at(sol, Point2(x0, sol.cy + sy * root)) for sy in (1.0, -1.0)
-    )
-
-
 def param_of(sol: CircleSolution | HyperbolaSolution, p: Point2) -> float:
     """Parameter of a point on the conic (angle or hyperbolic parameter)."""
     if isinstance(sol, CircleSolution):
@@ -230,49 +198,3 @@ def _bisect_param(fn, lo: float, hi: float, flo: float, iters: int = 200) -> flo
         if abs(hi - lo) <= 1e-16 * (1.0 + abs(mid)):
             break
     return 0.5 * (lo + hi)
-
-
-def next_circle_point(sol: CircleSolution, theta: float, k: float, direction: float) -> float:
-    """Angle one pair-invariant step k away along the circle.
-
-    direction is +-1 for increasing or decreasing angle.  The pair
-    invariant grows monotonically with angular separation as long as the
-    arc stays in the half plane, so bisection on the angle is safe.
-    """
-    pa = sol.point(theta)
-
-    def gap(dtheta: float) -> float:
-        pb = sol.point(theta + direction * dtheta)
-        if pb.x <= 0.0:
-            return math.inf
-        return disc_i1_sl3(pa, pb) - k
-
-    hi = 1e-8
-    while gap(hi) < 0.0:
-        hi *= 2.0
-        if hi > math.pi:
-            raise DomainViolation("pair-invariant step does not fit on the arc", k)
-    return theta + direction * _bisect_param(gap, 0.0, hi, -k)
-
-
-def next_hyperbola_point(
-    sol: HyperbolaSolution, t: float, k: float, direction: float, branch: int = -1
-) -> float:
-    """Parameter one pair-invariant step k away along the hyperbola branch."""
-    pa = sol.point(t, branch)
-
-    def gap(dt: float) -> float:
-        pb = sol.point(t + direction * dt, branch)
-        if pb.x <= 0.0:
-            return math.inf
-        try:
-            return disc_i1_sl4(pa, pb) - k
-        except DomainViolation:
-            return math.inf
-
-    hi = 1e-8
-    while gap(hi) < 0.0:
-        hi *= 2.0
-        if hi > 50.0:
-            raise DomainViolation("pair-invariant step does not fit on the branch", k)
-    return t + direction * _bisect_param(gap, 0.0, hi, -k)

@@ -21,8 +21,6 @@ from typing import Callable
 from .core import DomainViolation, Point2, RealizationId
 from .baselines import FirstOrderSystem, rk45_integrate
 
-_DET_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class GroupElement:
@@ -37,9 +35,6 @@ class GroupElement:
         det = self.a * self.d - self.b * self.c
         if not math.isfinite(det) or abs(det - 1.0) > 1e-10:
             raise DomainViolation(f"group element determinant {det} is not 1")
-
-    def inverse(self) -> "GroupElement":
-        return GroupElement(self.d, -self.b, -self.c, self.a)
 
 
 IDENTITY = GroupElement(1.0, 0.0, 0.0, 1.0)

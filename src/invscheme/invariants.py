@@ -99,12 +99,10 @@ def disc_i1_sl3(pa: Point2, pb: Point2) -> float:
     _require_domain(pa, pb)
     dx = pb.x - pa.x
     dy = pb.y - pa.y
-    return math.sqrt((dx * dx + dy * dy) / (pa.x * pb.x))
-
-
-def disc_i2_sl3(pa: Point2, pc: Point2) -> float:
-    """Same chord invariant evaluated on the outer pair of a 3-point window."""
-    return disc_i1_sl3(pa, pc)
+    xab = pa.x * pb.x
+    if xab == 0.0:
+        raise DomainViolation("pair x-product underflows to zero", pb)
+    return math.sqrt((dx * dx + dy * dy) / xab)
 
 
 def _sl4_pair(pa: Point2, pb: Point2) -> tuple[float, float]:
@@ -127,12 +125,13 @@ def disc_i1_sl4(pa: Point2, pb: Point2) -> float:
     return math.sqrt(e / den)
 
 
-def disc_i2_sl4(pa: Point2, pc: Point2) -> float:
-    """Same invariant evaluated on the outer pair of a 3-point window."""
-    return disc_i1_sl4(pa, pc)
-
-
-# -- J combinations ----------------------------------------------------------
+# -- window evaluation -------------------------------------------------------
+#
+# J1^2 - 1 is a ratio of O(h^4) differences of O(h^2) quantities, so feeding
+# rounded pair invariants into the textbook J1 formulas loses ~h^-2 digits.
+# The window evaluators below rebuild the difference I2 - I1n - I1n1 as a
+# single fraction in the coordinates, which keeps the relative error near
+# machine precision for the meshes the schemes use.
 
 
 def _checked_sqrt(radicand: float, what: str) -> float:
@@ -141,49 +140,6 @@ def _checked_sqrt(radicand: float, what: str) -> float:
             return 0.0
         raise DomainViolation(f"{what} has negative radicand", radicand)
     return math.sqrt(radicand)
-
-
-def j1_sl3(i1n: float, i1n1: float, i2n1: float) -> float:
-    """sqrt(1 - 8(I2 - (I1n + I1n1)) / (I1n I1n1 (I1n + I1n1)))."""
-    den = i1n * i1n1 * (i1n + i1n1)
-    if den == 0.0:
-        raise DomainViolation("J1 needs nonzero pair invariants")
-    rad = 1.0 - 8.0 * (i2n1 - (i1n + i1n1)) / den
-    return _checked_sqrt(rad, "J1_sl3")
-
-
-def j2_sl3(i1n: float, i1n1: float, i1n2: float, j1n1: float, j1n2: float) -> float:
-    """3 (J1^{n+2} - J1^{n+1}) / (I1^n + I1^{n+1} + I1^{n+2})."""
-    s = i1n + i1n1 + i1n2
-    if s == 0.0:
-        raise DomainViolation("J2 needs a nonzero invariant sum")
-    return 3.0 * (j1n2 - j1n1) / s
-
-
-def j1_sl4(i1n: float, i1n1: float, i2n1: float) -> float:
-    """sqrt(2) * sqrt((I2 - (I1n + I1n1)) / (I1n I1n1 (I1n + I1n1)) - 1)."""
-    den = i1n * i1n1 * (i1n + i1n1)
-    if den == 0.0:
-        raise DomainViolation("J1 needs nonzero pair invariants")
-    rad = (i2n1 - (i1n + i1n1)) / den - 1.0
-    return math.sqrt(2.0) * _checked_sqrt(rad, "J1_sl4")
-
-
-def j2_sl4(i1n: float, i1n1: float, i1n2: float, j1n1: float, j1n2: float) -> float:
-    """3 (J1^{n+2} - J1^{n+1}) / sum(I1) + 6 (J1^{n+1})^2 + 3."""
-    s = i1n + i1n1 + i1n2
-    if s == 0.0:
-        raise DomainViolation("J2 needs a nonzero invariant sum")
-    return 3.0 * (j1n2 - j1n1) / s + 6.0 * j1n1 * j1n1 + 3.0
-
-
-# -- window evaluation -------------------------------------------------------
-#
-# J1^2 - 1 is a ratio of O(h^4) differences of O(h^2) quantities, so feeding
-# rounded pair invariants into the formulas above loses ~h^-2 digits.  The
-# window evaluators below rebuild the difference I2 - I1n - I1n1 as a single
-# fraction in the coordinates, which keeps the relative error near machine
-# precision for the meshes the schemes use.
 
 
 @dataclass(frozen=True)
@@ -207,13 +163,17 @@ def _window_sl3(pa: Point2, pb: Point2, pc: Point2) -> WindowInvariants:
     cab = chord2(pa, pb)
     cbc = chord2(pb, pc)
     cac = chord2(pa, pc)
-    i1n = math.sqrt(cab / (pa.x * pb.x))
-    i1n1 = math.sqrt(cbc / (pb.x * pc.x))
-    i2 = math.sqrt(cac / (pa.x * pc.x))
+    xab, xbc, xac = pa.x * pb.x, pb.x * pc.x, pa.x * pc.x
+    xabc = xab * pc.x
+    if 0.0 in (xab, xbc, xac, xabc):
+        raise DomainViolation("window x-product underflows to zero", pb)
+    i1n = math.sqrt(cab / xab)
+    i1n1 = math.sqrt(cbc / xbc)
+    i2 = math.sqrt(cac / xac)
     # I2^2 - I1n^2 - I1n1^2 as one fraction, then
     # I2 - I1n - I1n1 = (that - 2 I1n I1n1) / (I2 + I1n + I1n1)
     p_num = cac * pb.x - cab * pc.x - cbc * pa.x
-    p_val = p_num / (pa.x * pb.x * pc.x)
+    p_val = p_num / xabc
     n_val = p_val - 2.0 * i1n * i1n1
     denom = i1n * i1n1 * (i1n + i1n1)
     if denom == 0.0 or (i2 + i1n + i1n1) == 0.0:
@@ -235,7 +195,10 @@ def _window_sl4(pa: Point2, pb: Point2, pc: Point2) -> WindowInvariants:
     i1n1 = math.sqrt(ebc / dbc)
     i2 = math.sqrt(eac / dac)
     p_num = eac * dab * dbc - eab * dac * dbc - ebc * dac * dab
-    p_val = p_num / (dac * dab * dbc)
+    d3 = dac * dab * dbc
+    if d3 == 0.0:
+        raise DomainViolation("window denominator product underflows to zero", pb)
+    p_val = p_num / d3
     n_val = p_val - 2.0 * i1n * i1n1
     denom = i1n * i1n1 * (i1n + i1n1)
     if denom == 0.0 or (i2 + i1n + i1n1) == 0.0:

@@ -146,21 +146,17 @@ def _pair_disc(realization: RealizationId) -> Callable[[Point2, Point2], float]:
 def _conic(
     realization: RealizationId, rx: float, ry: float, t: float
 ) -> tuple[float, float, float, float, float, float]:
-    """(qxx, qxy, qyy, qx, qy, q0) of the level set around (rx, ry); see mesh_conic."""
+    """(qxx, qxy, qyy, qx, qy, q0) of the level set {p : pair invariant of
+    ((rx, ry), p) = t} as a conic.
+
+    For sl3 the pair invariant squared is |p - (rx, ry)|^2 / (rx * p.x), so
+    the level set is a circle-type conic; for sl4 it is e / (4 rx p.x - e)
+    with e = dy^2 - dx^2, a rectangular hyperbola-type conic.
+    """
     if realization is RealizationId.SL3:
         return 1.0, 0.0, 1.0, -(2.0 + t * t) * rx, -2.0 * ry, rx * rx + ry * ry
     ph = t * t / (1.0 + t * t)
     return -1.0, 0.0, 1.0, (2.0 - 4.0 * ph) * rx, -2.0 * ry, ry * ry - rx * rx
-
-
-def mesh_conic(realization: RealizationId, ref: Point2, t: float) -> ConicCoeffs:
-    """The level set {p : pair invariant of (ref, p) = t} as a conic.
-
-    For sl3 the pair invariant squared is |p - ref|^2 / (ref.x * p.x), so
-    the level set is a circle-type conic; for sl4 it is e / (4 ref.x p.x
-    - e) with e = dy^2 - dx^2, a rectangular hyperbola-type conic.
-    """
-    return ConicCoeffs(*_conic(realization, ref.x, ref.y, t))
 
 
 @dataclass(frozen=True)
@@ -449,7 +445,7 @@ def newton_fallback_step(state: SchemeState, guess: Point2) -> Point2:
     k, m = state.spec.K, targets.m
 
     def residuals(p: Point2) -> tuple[float, float]:
-        if not validate_point(p, state.spec.realization):
+        if not validate_point(p):
             raise DomainViolation("iterate left the half plane", p)
         return disc(p_last, p) - k, disc(p_prev, p) - m
 
@@ -659,10 +655,6 @@ class _ReferenceCurve:
         return Point2(x, y)
 
 
-# The harness seeds the order-3 standardFD baseline through this name.
-_ode_curve = _ReferenceCurve
-
-
 def _bracket_and_bisect(
     gap: Callable[[float], float], x_start: float, hi: float, hi_limit: float
 ) -> float:
@@ -710,7 +702,7 @@ def bootstrap(
     """
     x0, y0 = float(ics["x0"]), float(ics["y0"])
     p0 = Point2(x0, y0)
-    if not validate_point(p0, realization):
+    if not validate_point(p0):
         raise DomainViolation("initial point outside the half plane", p0)
     if not (h > 0.0 and math.isfinite(h)):
         raise ValueError("bootstrap spacing h must be positive")

@@ -4,8 +4,19 @@ import math
 
 import numpy as np
 
-from invscheme import ConicCoeffs, LineCoeffs, NoIntersection, Point2
+from invscheme import (
+    CircleSolution,
+    DomainViolation,
+    HyperbolaSolution,
+    NoIntersection,
+    Point2,
+    disc_i1_sl3,
+    disc_i1_sl4,
+)
+from invscheme.exact import _bisect_param
 from invscheme.group_action import GroupElement
+from invscheme.invariants import _checked_sqrt
+from invscheme.schemes import ConicCoeffs, LineCoeffs
 
 
 def random_group_element(rng: np.random.Generator, scale: float = 1.0) -> GroupElement:
@@ -71,3 +82,87 @@ def solve_line_conic(
     if best is None:
         raise NoIntersection("no root continues past the previous point", prev)
     return best
+
+
+def next_circle_point(sol: CircleSolution, theta: float, k: float, direction: float) -> float:
+    """Angle one pair-invariant step k away along the circle.
+
+    direction is +-1 for increasing or decreasing angle.  The pair
+    invariant grows monotonically with angular separation as long as the
+    arc stays in the half plane, so bisection on the angle is safe.
+    """
+    pa = sol.point(theta)
+
+    def gap(dtheta: float) -> float:
+        pb = sol.point(theta + direction * dtheta)
+        if pb.x <= 0.0:
+            return math.inf
+        return disc_i1_sl3(pa, pb) - k
+
+    hi = 1e-8
+    while gap(hi) < 0.0:
+        hi *= 2.0
+        if hi > math.pi:
+            raise DomainViolation("pair-invariant step does not fit on the arc", k)
+    return theta + direction * _bisect_param(gap, 0.0, hi, -k)
+
+
+def next_hyperbola_point(
+    sol: HyperbolaSolution, t: float, k: float, direction: float, branch: int = -1
+) -> float:
+    """Parameter one pair-invariant step k away along the hyperbola branch."""
+    pa = sol.point(t, branch)
+
+    def gap(dt: float) -> float:
+        pb = sol.point(t + direction * dt, branch)
+        if pb.x <= 0.0:
+            return math.inf
+        try:
+            return disc_i1_sl4(pa, pb) - k
+        except DomainViolation:
+            return math.inf
+
+    hi = 1e-8
+    while gap(hi) < 0.0:
+        hi *= 2.0
+        if hi > 50.0:
+            raise DomainViolation("pair-invariant step does not fit on the branch", k)
+    return t + direction * _bisect_param(gap, 0.0, hi, -k)
+
+
+# The textbook J1 and J2 formulas on rounded pair invariants: an oracle for
+# the window evaluators, which rebuild J1 from the coordinates instead.
+
+
+def j1_sl3(i1n: float, i1n1: float, i2n1: float) -> float:
+    """sqrt(1 - 8(I2 - (I1n + I1n1)) / (I1n I1n1 (I1n + I1n1)))."""
+    den = i1n * i1n1 * (i1n + i1n1)
+    if den == 0.0:
+        raise DomainViolation("J1 needs nonzero pair invariants")
+    rad = 1.0 - 8.0 * (i2n1 - (i1n + i1n1)) / den
+    return _checked_sqrt(rad, "J1_sl3")
+
+
+def j2_sl3(i1n: float, i1n1: float, i1n2: float, j1n1: float, j1n2: float) -> float:
+    """3 (J1^{n+2} - J1^{n+1}) / (I1^n + I1^{n+1} + I1^{n+2})."""
+    s = i1n + i1n1 + i1n2
+    if s == 0.0:
+        raise DomainViolation("J2 needs a nonzero invariant sum")
+    return 3.0 * (j1n2 - j1n1) / s
+
+
+def j1_sl4(i1n: float, i1n1: float, i2n1: float) -> float:
+    """sqrt(2) * sqrt((I2 - (I1n + I1n1)) / (I1n I1n1 (I1n + I1n1)) - 1)."""
+    den = i1n * i1n1 * (i1n + i1n1)
+    if den == 0.0:
+        raise DomainViolation("J1 needs nonzero pair invariants")
+    rad = (i2n1 - (i1n + i1n1)) / den - 1.0
+    return math.sqrt(2.0) * _checked_sqrt(rad, "J1_sl4")
+
+
+def j2_sl4(i1n: float, i1n1: float, i1n2: float, j1n1: float, j1n2: float) -> float:
+    """3 (J1^{n+2} - J1^{n+1}) / sum(I1) + 6 (J1^{n+1})^2 + 3."""
+    s = i1n + i1n1 + i1n2
+    if s == 0.0:
+        raise DomainViolation("J2 needs a nonzero invariant sum")
+    return 3.0 * (j1n2 - j1n1) / s + 6.0 * j1n1 * j1n1 + 3.0

@@ -7,18 +7,19 @@ import pytest
 
 from invscheme import (
     DomainViolation,
-    FirstOrderSystem,
     JetPoint,
     NewtonDivergence,
-    Point2,
     RealizationId,
-    UniformMesh,
     cont_i1_sl3,
     cont_i1_sl4,
     cont_i2_sl3,
     cont_i2_sl4,
     ode_rhs_library,
     rk45_integrate,
+)
+from invscheme.baselines import (
+    FirstOrderSystem,
+    UniformMesh,
     standard_fd_step,
     stencil_d1_4pt,
     stencil_d2_4pt,

@@ -11,12 +11,13 @@ from invscheme import (
     HyperbolaSolution,
     JetPoint,
     Point2,
-    conic_distance,
     cont_i1_sl3,
     cont_i1_sl4,
     fit_circle,
     fit_hyperbola,
-    initial_slope_from_solution,
+)
+from invscheme.exact import (
+    conic_distance,
     next_chord_point,
     param_of,
     point_at,
@@ -98,27 +99,6 @@ def test_conic_distance_hyperbola():
     assert conic_distance(sol, on) < 1e-12
     off = Point2(on.x + 0.05, on.y)
     assert conic_distance(sol, off) > 1e-3
-
-
-def test_initial_slope_vertical_tangent():
-    sol = fit_circle(Point2(1.0, 8.0), 2.0, 1.0)[0]
-    with pytest.raises(DomainViolation):
-        initial_slope_from_solution(sol, 1.0)
-
-
-def test_initial_slope_circle_top():
-    sol = CircleSolution(0.0, 0.0, 1.0)
-    slopes = initial_slope_from_solution(sol, 0.0)
-    assert abs(slopes[0]) < 1e-12  # top branch
-    assert abs(slopes[1]) < 1e-12
-
-
-def test_initial_slope_hyperbola():
-    sol = fit_hyperbola(Point2(2.0, 5.0), 5.0, 1.0)[0]
-    slopes = initial_slope_from_solution(sol, 2.0)
-    want = 3.0 / (2.0 * SQRT2)
-    assert any(abs(s - want) < 1e-12 for s in slopes)
-    assert any(abs(s + want) < 1e-12 for s in slopes)
 
 
 def test_slope_at_matches_implicit_derivative():

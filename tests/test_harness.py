@@ -44,10 +44,11 @@ def test_builtins_roundtrip_through_raw_form():
 
 
 def test_config_rejects_unknown_fields():
-    raw = _builtin("fig1").as_raw()
-    raw["splines"] = True
-    with pytest.raises(ConfigError, match="unknown config fields"):
-        config_from_raw(raw)
+    for key, value in (("splines", True), ("seed", 7)):
+        raw = _builtin("fig1").as_raw()
+        raw[key] = value
+        with pytest.raises(ConfigError, match="unknown config fields"):
+            config_from_raw(raw)
 
 
 def test_order3_config_requires_second_derivative():
@@ -226,7 +227,7 @@ def test_cli_run_writes_csv_and_report(tmp_path, capsys):
 def test_cli_run_overrides_land_in_the_report(tmp_path, capsys):
     code = cli_main([
         "run", "fig2", "--out", str(tmp_path),
-        "--methods", "rk45", "--h", "0.02", "--max-steps", "10", "--seed", "7",
+        "--methods", "rk45", "--h", "0.02", "--max-steps", "10",
     ])
     assert code == 0
     capsys.readouterr()
@@ -234,7 +235,6 @@ def test_cli_run_overrides_land_in_the_report(tmp_path, capsys):
     assert payload["config"]["methods"] == ["rk45"]
     assert payload["config"]["h"] == 0.02
     assert payload["config"]["maxSteps"] == 10
-    assert payload["config"]["seed"] == 7
     assert set(payload["methods"]) == {"rk45"}
 
 
@@ -364,6 +364,23 @@ def test_cli_invariants_numeric_failure_exits_2(capsys):
     assert "invariant evaluation failed" in capsys.readouterr().err
 
 
+def test_cli_underflowing_denominators_exit_2(tmp_path, capsys):
+    """x-products that underflow to zero are domain violations, reported
+    with exit code 2 instead of a ZeroDivisionError."""
+    points = "1e-110,0;1e-110,1e-111;1e-110,2e-111;1e-110,3e-111"
+    for realization in ("sl3", "sl4"):
+        assert cli_main(["invariants", "--realization", realization, "--points", points]) == 2
+        assert "invariant evaluation failed" in capsys.readouterr().err
+    cfg_path = tmp_path / "tiny.json"
+    cfg_path.write_text(json.dumps({
+        "name": "tiny", "realization": "sl3", "order": "Second",
+        "x0": 2e-170, "y0": 0, "h": 1e-171, "maxSteps": 20, "xWindow": [0, 1],
+        "C": 0.5, "a": 1e170, "methods": ["invariant"],
+    }))
+    assert cli_main(["run", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert "invariant: error DomainViolation" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize(
     "change",
     [{"name": "a/b"}, {"order": ["x"]}, {"F": ["square"]}, {"output": 5}],
@@ -396,7 +413,6 @@ _PLAUSIBLE = {
     "xWindow": st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=2),
     "methods": st.lists(st.sampled_from(["invariant", "standardFD", "rk45"]), max_size=3),
     "output": st.text(max_size=8),
-    "seed": st.integers(0, 100),
     "x0": st.floats(0.05, 5.0),
     "y0": st.floats(-10.0, 10.0),
     "yp0": st.floats(-3.0, 3.0),

