@@ -20,15 +20,6 @@ from .core import (
 from .invariants import JetPoint, cont_i1_sl3, cont_i1_sl4, cont_i2_sl3, cont_i2_sl4
 
 
-@dataclass(frozen=True)
-class UniformMesh:
-    x0: float
-    h: float
-
-    def node(self, i: int) -> float:
-        return self.x0 + i * self.h
-
-
 # -- midpoint stencils for the 4-point scheme --------------------------------
 #
 # yvals = (y_{n-1}, y_n, y_{n+1}, y_{n+2}); all three stencils approximate
@@ -63,10 +54,9 @@ def stencil_c2(yvals: Sequence[float], h: float) -> float:
 # -- ODE library -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FirstOrderSystem:
-    dim: int
-    rhs: Callable[[float, Sequence[float]], list[float]]
+def square(u: float) -> float:
+    """Default order-3 right-hand side F(J1) = J1^2."""
+    return u * u
 
 
 @dataclass(frozen=True)
@@ -74,13 +64,11 @@ class OdeProblem:
     """One ODE in residual form plus its solved first-order system.
 
     residual takes (x, yp, ypp) for order 2 and (x, yp, ypp, yppp) for
-    order 3; system states are (y, yp) resp. (y, yp, ypp).
+    order 3; rhs(x, state) takes states (y, yp) resp. (y, yp, ypp).
     """
 
-    realization: RealizationId
-    order: int
     residual: Callable[..., float]
-    system: FirstOrderSystem
+    rhs: Callable[[float, Sequence[float]], list[float]]
 
 
 def _solved_ypp(realization: RealizationId, c: float) -> Callable[[float, float], float]:
@@ -169,13 +157,13 @@ def ode_rhs_library(
     order: int,
     *,
     C: Optional[float] = None,
-    F: Callable[[float], float] | str | None = None,
+    F: Optional[Callable[[float], float]] = None,
 ) -> OdeProblem:
     """Residual form and solved first-order system for one scheme's ODE.
 
     Order 2 uses the first-invariant equation I1 = C.  Order 3 uses
-    I2 = F(I1); the named F "square" gets the denominator-cleared
-    polynomial residual, a general callable gets I2 - F(I1).
+    I2 = F(I1); F = square gets the denominator-cleared polynomial
+    residual, any other callable gets I2 - F(I1).
     """
     if order == 2:
         if C is None:
@@ -189,35 +177,31 @@ def ode_rhs_library(
         def rhs2(x: float, s: Sequence[float]) -> list[float]:
             return [s[1], solved(x, s[1])]
 
-        return OdeProblem(realization, 2, residual2, FirstOrderSystem(2, rhs2))
+        return OdeProblem(residual2, rhs2)
 
     if order == 3:
         if F is None:
             raise ValueError("order-3 ODE needs F")
-        if isinstance(F, str):
-            if F != "square":
-                raise ValueError(f"unknown named F {F!r}")
-            f_callable: Callable[[float], float] = lambda u: u * u
+        if F is square:
             residual3 = (
                 expanded_residual_sl3
                 if realization is RealizationId.SL3
                 else expanded_residual_sl4
             )
         else:
-            f_callable = F
             cont_i1 = cont_i1_sl3 if realization is RealizationId.SL3 else cont_i1_sl4
             cont_i2 = cont_i2_sl3 if realization is RealizationId.SL3 else cont_i2_sl4
 
             def residual3(x: float, yp: float, ypp: float, yppp: float) -> float:
                 jet = JetPoint(x, yp, ypp, yppp)
-                return cont_i2(jet) - f_callable(cont_i1(jet))
+                return cont_i2(jet) - F(cont_i1(jet))
 
-        solved3 = _solved_yppp(realization, f_callable)
+        solved3 = _solved_yppp(realization, F)
 
         def rhs3(x: float, s: Sequence[float]) -> list[float]:
             return [s[1], s[2], solved3(x, s[1], s[2])]
 
-        return OdeProblem(realization, 3, residual3, FirstOrderSystem(3, rhs3))
+        return OdeProblem(residual3, rhs3)
 
     raise ValueError("order must be 2 or 3")
 
@@ -228,28 +212,25 @@ def ode_rhs_library(
 def standard_fd_step(
     residual: Callable[..., float],
     ys: Sequence[float],
-    mesh: UniformMesh,
-    first_index: int,
+    x1: float,
+    h: float,
     guess: float,
     tol: float = 1e-12,
     max_iter: int = 50,
 ) -> float:
-    """Solve one uniform-mesh step for the next y value.
+    """Solve one uniform-mesh step of spacing h for the next y value.
 
     ys holds the known values: 2 of them for the 3-point (order-2) scheme,
-    3 for the 4-point (order-3) scheme.  first_index is the mesh index of
-    ys[0].  Raises NewtonDivergence if the iteration does not settle.
+    3 for the 4-point (order-3) scheme.  x1 is the abscissa of ys[1].
+    Raises NewtonDivergence if the iteration does not settle.
     """
-    h = mesh.h
     if len(ys) == 2:
-        xc = mesh.node(first_index + 1)
-
         def f(ynext: float) -> float:
             vals = (ys[0], ys[1], ynext)
-            return residual(xc, stencil_c1(vals, h), stencil_c2(vals, h))
+            return residual(x1, stencil_c1(vals, h), stencil_c2(vals, h))
 
     elif len(ys) == 3:
-        xc = mesh.node(first_index + 1) + 0.5 * h
+        xc = x1 + 0.5 * h
 
         def f(ynext: float) -> float:
             vals = (ys[0], ys[1], ys[2], ynext)
@@ -330,7 +311,7 @@ class RkResult:
 
 
 def rk45_integrate(
-    system: FirstOrderSystem,
+    rhs: Callable[[float, Sequence[float]], list[float]],
     x0: float,
     state0: Sequence[float],
     x_end: float,
@@ -338,7 +319,7 @@ def rk45_integrate(
     atol: float = 1e-10,
     max_steps: int = 1_000_000,
 ) -> RkResult:
-    """Adaptive embedded RK5(4) from x0 to x_end.
+    """Adaptive embedded RK5(4) for state' = rhs(x, state) from x0 to x_end.
 
     Halts early with status "stepUnderflow" when the step drops below
     1e-14 * |x|, or "singularity" when the solution component passes 1e8.
@@ -356,7 +337,7 @@ def rk45_integrate(
     direction = 1.0 if x_end > x0 else -1.0
     x = x0
     y = list(state0)
-    n = system.dim
+    n = len(state0)
     h = direction * min(abs(x_end - x0) * 1e-2, 0.1)
 
     def try_stages(h: float) -> Optional[tuple[list[float], float]]:
@@ -371,7 +352,7 @@ def rk45_integrate(
                         kj = k[j]
                         for m in range(n):
                             yi[m] += h * aij * kj[m]
-                k.append(system.rhs(xi, yi))
+                k.append(rhs(xi, yi))
         except (NumericError, ValueError, OverflowError, ZeroDivisionError):
             return None
         y5 = y[:]

@@ -136,7 +136,9 @@ class Trajectory:
 
     For a scheme of stencil width w, diagnostics has length
     len(points) - (w - 1): one record per accepted step.  step_seconds
-    holds the wall time of each accepted step where the runner records it.
+    holds the wall time of each accepted step; every harness driver fills
+    it, and the rk45 driver, which times the integrator as a whole, writes
+    the mean into every slot.
     """
 
     points: list[Point2] = field(default_factory=list)

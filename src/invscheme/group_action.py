@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .core import DomainViolation, Point2, RealizationId
-from .baselines import FirstOrderSystem, rk45_integrate
+from .baselines import rk45_integrate
 
 
 @dataclass(frozen=True)
@@ -138,9 +138,7 @@ def flow_oracle(realization: RealizationId, index: int, t: float, p: Point2) -> 
         dx, dy = field(Point2(state[0], state[1]))
         return [dx, dy]
 
-    res = rk45_integrate(
-        FirstOrderSystem(2, rhs), 0.0, [p.x, p.y], t, rtol=1e-12, atol=1e-13
-    )
+    res = rk45_integrate(rhs, 0.0, [p.x, p.y], t, rtol=1e-12, atol=1e-13)
     if res.status != "ok":
         raise DomainViolation(f"flow failed before time {t}: {res.status} ({res.detail})")
     x_new, y_new = res.states[-1]

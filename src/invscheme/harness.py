@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
-from .baselines import UniformMesh, ode_rhs_library, rk45_integrate, standard_fd_step
+from .baselines import ode_rhs_library, rk45_integrate, square, standard_fd_step
 from .core import (
     DomainViolation,
     HaltInfo,
@@ -57,7 +57,7 @@ from .invariants import (
     window_invariants,
     window_j2,
 )
-from .schemes import bootstrap, run_scheme, square
+from .schemes import bootstrap, run_scheme
 # The order-3 standardFD baseline is seeded through this name, which
 # bench/tracing.py patches to time the reference curve.
 from .schemes import _ReferenceCurve as _ode_curve
@@ -143,11 +143,11 @@ def _path_text(value: object) -> bool:
 def config_from_raw(raw: dict) -> ExperimentConfig:
     """Validate a flat key-value mapping into an ExperimentConfig.
 
-    Order-2 configs must provide (C, a) or yp0, and (C, a) with C >= 0
-    when they run the invariant method; order-3 configs must provide yp0
-    and ypp0.  Numbers must be finite, and h must be large enough to move
-    x0.  name must be a plain file name stem and output a path string.
-    Unknown keys are rejected so typos surface.
+    Order-2 configs must provide C (the equation is I1 = C) plus a or
+    yp0, and a with C >= 0 when they run the invariant method; order-3
+    configs must provide yp0 and ypp0.  Numbers must be finite, and h
+    must be large enough to move x0.  name must be a plain file name stem
+    and output a path string.  Unknown keys are rejected so typos surface.
     """
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
@@ -174,8 +174,8 @@ def config_from_raw(raw: dict) -> ExperimentConfig:
     ics = {k: _as_float(raw, k) for k in _IC_KEYS if k in raw}
     if ics["x0"] <= 0.0:
         raise ConfigError("x0 must be positive (the half plane x > 0)")
-    if order == 2 and not (("C" in ics and "a" in ics) or "yp0" in ics):
-        raise ConfigError("order-2 config needs (C, a) or yp0")
+    if order == 2 and not ("C" in ics and ("a" in ics or "yp0" in ics)):
+        raise ConfigError("order-2 config needs C (the equation is I1 = C), plus a or yp0")
     if order == 3 and ("yp0" not in ics or "ypp0" not in ics):
         raise ConfigError("order-3 config needs yp0 and ypp0")
     f_name = raw.get("F", "square")
@@ -299,18 +299,6 @@ def detect_singularity(traj: Trajectory) -> Optional[SingularityFlag]:
 # -- method drivers ------------------------------------------------------------
 
 
-@dataclass
-class MethodOutcome:
-    method: str
-    trajectory: Trajectory = field(default_factory=Trajectory)
-    seed_points: int = 0
-    step_seconds: list[float] = field(default_factory=list)
-
-    @property
-    def new_points(self) -> int:
-        return max(0, len(self.trajectory.points) - self.seed_points)
-
-
 def _exact_conic(cfg: ExperimentConfig):
     """Fitted exact conic for order-2 configs with (C, a), else None."""
     if cfg.order != 2 or "C" not in cfg.ics or "a" not in cfg.ics:
@@ -341,8 +329,6 @@ def _initial_slope(cfg: ExperimentConfig) -> float:
     if "yp0" in cfg.ics:
         return cfg.ics["yp0"]
     sol = _exact_conic(cfg)
-    if sol is None:
-        raise ConfigError("order-2 baseline needs yp0 or (C, a)")
     x0, y0 = cfg.ics["x0"], cfg.ics["y0"]
     branch = 1.0 if y0 >= sol.cy else -1.0
     try:
@@ -352,94 +338,76 @@ def _initial_slope(cfg: ExperimentConfig) -> float:
         return slope_at(sol, Point2(xn, _conic_branch_y(sol, xn, branch)))
 
 
-def _f_for_library(cfg: ExperimentConfig):
-    """Named F choices keep their name so the ODE library can pick the
-    denominator-cleared residual form for the finite-difference baseline."""
-    return cfg.f_name if cfg.f_name == "square" else cfg.f
+# Each driver returns the trajectory and how many of its points are seeds.
 
 
-def _drive_invariant(cfg: ExperimentConfig) -> MethodOutcome:
-    out = MethodOutcome("invariant")
+def _drive_invariant(cfg: ExperimentConfig) -> tuple[Trajectory, int]:
     state = bootstrap(cfg.realization, cfg.order, cfg.ics, cfg.h, f=cfg.f)
-    out.seed_points = len(state.window)
-    out.trajectory = run_scheme(state, cfg.max_steps, cfg.x_window)
-    out.step_seconds = out.trajectory.step_seconds
-    return out
+    return run_scheme(state, cfg.max_steps, cfg.x_window), len(state.window)
 
 
-def _drive_standard_fd(cfg: ExperimentConfig) -> MethodOutcome:
-    out = MethodOutcome("standardFD")
+def _drive_standard_fd(cfg: ExperimentConfig) -> tuple[Trajectory, int]:
     ics = cfg.ics
     x0 = ics["x0"]
     if cfg.order == 2:
-        if "C" not in ics:
-            raise ConfigError("order-2 standardFD needs C in the config")
         problem = ode_rhs_library(cfg.realization, 2, C=ics["C"])
         sol = _exact_conic(cfg)
         if sol is not None:
             branch = 1.0 if ics["y0"] >= sol.cy else -1.0
             ys = [ics["y0"], _conic_branch_y(sol, x0 + cfg.h, branch)]
-        elif "yp0" in ics:
-            ys = [ics["y0"], ics["y0"] + cfg.h * ics["yp0"]]
         else:
-            raise ConfigError("order-2 standardFD needs (C, a) or yp0")
+            ys = [ics["y0"], ics["y0"] + cfg.h * ics["yp0"]]
         width = 2
     else:
-        problem = ode_rhs_library(cfg.realization, 3, F=_f_for_library(cfg))
+        problem = ode_rhs_library(cfg.realization, 3, F=cfg.f)
         curve = _ode_curve(cfg.realization, ics, cfg.f)
         ys = [curve(x0 + i * cfg.h).y for i in range(3)]
         width = 3
-    out.seed_points = width
-    mesh = UniformMesh(x0, cfg.h)
-    traj = Trajectory(points=[Point2(mesh.node(i), y) for i, y in enumerate(ys)])
-    out.trajectory = traj
+    traj = Trajectory(points=[Point2(x0 + i * cfg.h, y) for i, y in enumerate(ys)])
     for _ in range(cfg.max_steps):
         i = len(traj.points)
-        x_next = mesh.node(i)
+        x_next = x0 + i * cfg.h
+        x1 = x0 + (i - width + 1) * cfg.h
         guess = 2.0 * ys[-1] - ys[-2]
         t0 = time.perf_counter()
         try:
-            y_next = standard_fd_step(problem.residual, ys[-width:], mesh, i - width, guess)
+            y_next = standard_fd_step(problem.residual, ys[-width:], x1, cfg.h, guess)
         except NumericError as exc:
             traj.halt = HaltInfo(exc.kind, x=x_next, detail=exc.detail)
-            return out
+            return traj, width
         except (ValueError, OverflowError, ZeroDivisionError) as exc:
             traj.halt = HaltInfo("numericError", x=x_next, detail=str(exc))
-            return out
-        out.step_seconds.append(time.perf_counter() - t0)
+            return traj, width
+        traj.step_seconds.append(time.perf_counter() - t0)
         ys.append(y_next)
         traj.points.append(Point2(x_next, y_next))
         if abs(y_next) > 1e8:
             traj.halt = HaltInfo("singularityDetected", x=x_next, detail="|y| > 1e8")
-            return out
+            return traj, width
         if not (cfg.x_window[0] <= x_next <= cfg.x_window[1]):
             traj.halt = HaltInfo(
                 "xRangeExit", x=x_next,
                 detail=f"left [{cfg.x_window[0]}, {cfg.x_window[1]}]",
             )
-            return out
+            return traj, width
     traj.halt = HaltInfo("maxSteps", x=traj.points[-1].x, detail=f"{cfg.max_steps} steps")
-    return out
+    return traj, width
 
 
 _RK_STATUS = {"ok": "completed", "singularity": "singularityDetected"}
 
 
-def _drive_rk45(cfg: ExperimentConfig) -> MethodOutcome:
-    out = MethodOutcome("rk45")
+def _drive_rk45(cfg: ExperimentConfig) -> tuple[Trajectory, int]:
     ics = cfg.ics
     if cfg.order == 2:
-        if "C" not in ics:
-            raise ConfigError("order-2 rk45 needs C in the config")
         problem = ode_rhs_library(cfg.realization, 2, C=ics["C"])
         state0 = [ics["y0"], _initial_slope(cfg)]
     else:
-        problem = ode_rhs_library(cfg.realization, 3, F=_f_for_library(cfg))
+        problem = ode_rhs_library(cfg.realization, 3, F=cfg.f)
         state0 = [ics["y0"], ics["yp0"], ics["ypp0"]]
-    out.seed_points = 1
     t0 = time.perf_counter()
     result = rk45_integrate(
-        problem.system, ics["x0"], state0, cfg.x_window[1],
+        problem.rhs, ics["x0"], state0, cfg.x_window[1],
         rtol=_RK_RTOL, atol=_RK_ATOL,
     )
     elapsed = time.perf_counter() - t0
@@ -449,11 +417,9 @@ def _drive_rk45(cfg: ExperimentConfig) -> MethodOutcome:
         x=result.halt_x,
         detail=result.detail,
     )
-    out.trajectory = Trajectory(points=pts, halt=halt)
     # The integrator is timed as a whole, so every step gets the mean.
     steps = max(1, len(pts) - 1)
-    out.step_seconds = [elapsed / steps] * steps
-    return out
+    return Trajectory(points=pts, halt=halt, step_seconds=[elapsed / steps] * steps), 1
 
 
 _DRIVERS = {
@@ -470,15 +436,13 @@ def _fmt(v: Optional[float]) -> str:
     return "" if v is None else f"{v:.17g}"
 
 
-def _csv_rows(outcome: MethodOutcome, order: int):
-    traj = outcome.trajectory
-    if outcome.method != "invariant":
+def _csv_rows(method: str, traj: Trajectory, seed: int):
+    if method != "invariant":
         yield ("index", "x", "y")
         for i, p in enumerate(traj.points):
             yield (str(i), _fmt(p.x), _fmt(p.y))
         return
     yield ("index", "x", "y", "J1", "J2", "meshResidual")
-    seed = outcome.seed_points
     for i, p in enumerate(traj.points):
         diag: Optional[StepDiagnostics] = None
         if i >= seed and i - seed < len(traj.diagnostics):
@@ -586,9 +550,8 @@ def _resolve_out_dir(cfg: ExperimentConfig, override: Optional[str] = None) -> P
 def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> RunReport:
     """Run every requested method, write CSVs and the report JSON.
 
-    One entry per method; a method failure (structured numeric error or a
-    config gap such as a missing slope) becomes data in its entry instead
-    of aborting the others.
+    One entry per method; a method that fails with a structured numeric
+    error gets it as data in its entry instead of aborting the others.
     """
     directory = _resolve_out_dir(cfg, out_dir)
     directory.mkdir(parents=True, exist_ok=True)
@@ -602,13 +565,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> RunR
         entry = MethodReport(method)
         report.entries[method] = entry
         try:
-            outcome = _DRIVERS[method](cfg)
-        except (NumericError, ConfigError) as exc:
+            traj, seed = _DRIVERS[method](cfg)
+        except NumericError as exc:
             entry.error = f"{type(exc).__name__}: {exc}"
             continue
-        traj = outcome.trajectory
         entry.points = len(traj.points)
-        entry.new_points = outcome.new_points
+        entry.new_points = max(0, len(traj.points) - seed)
         if traj.halt is not None:
             entry.halt_reason = traj.halt.reason
             entry.halt_x = traj.halt.x
@@ -623,14 +585,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> RunR
         if method == "invariant" and traj.diagnostics:
             entry.mesh_drift = max(d.mesh_residual for d in traj.diagnostics)
             entry.scheme_drift = max(d.scheme_residual for d in traj.diagnostics)
-        if outcome.step_seconds:
-            entry.wall_seconds_per_step = sum(outcome.step_seconds) / len(
-                outcome.step_seconds
-            )
+        if traj.step_seconds:
+            entry.wall_seconds_per_step = sum(traj.step_seconds) / len(traj.step_seconds)
         entry.singularity = detect_singularity(traj)
         filename = f"{cfg.name}_{method}.csv"
         with open(directory / filename, "w", newline="") as fh:
-            csv.writer(fh).writerows(_csv_rows(outcome, cfg.order))
+            csv.writer(fh).writerows(_csv_rows(method, traj, seed))
         entry.file = filename
     with open(directory / f"{cfg.name}_report.json", "w") as fh:
         json.dump(report.as_dict(), fh, indent=2, sort_keys=True)
@@ -656,8 +616,8 @@ def benchmark_step_cost(cfg: ExperimentConfig) -> dict:
     steps_measured: dict[str, int] = {}
     for method in cfg.methods:
         try:
-            times = _DRIVERS[method](cfg).step_seconds
-        except (NumericError, ConfigError):
+            times = _DRIVERS[method](cfg)[0].step_seconds
+        except NumericError:
             times = []
         if times:
             per_step[method] = statistics.median(times)

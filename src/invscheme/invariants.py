@@ -93,6 +93,18 @@ def _require_domain(*points: Point2) -> None:
             raise DomainViolation("point outside half plane x > 0", p)
 
 
+def _finite(value: float, where: Point2) -> float:
+    """value itself, unless a square or x-product overflowed into inf or NaN.
+
+    A window checks the sum of its invariants: each is the square root of
+    a float ratio, at most about 1.4e154, so the sum is finite exactly
+    when every term is.
+    """
+    if not math.isfinite(value):
+        raise DomainViolation("invariant overflows", where)
+    return value
+
+
 def disc_i1_sl3(pa: Point2, pb: Point2) -> float:
     """Three-point sl3 difference invariant on one pair:
     sqrt(((dx)^2 + (dy)^2) / (x_a x_b))."""
@@ -102,7 +114,7 @@ def disc_i1_sl3(pa: Point2, pb: Point2) -> float:
     xab = pa.x * pb.x
     if xab == 0.0:
         raise DomainViolation("pair x-product underflows to zero", pb)
-    return math.sqrt((dx * dx + dy * dy) / xab)
+    return _finite(math.sqrt((dx * dx + dy * dy) / xab), pb)
 
 
 def _sl4_pair(pa: Point2, pb: Point2) -> tuple[float, float]:
@@ -122,7 +134,7 @@ def disc_i1_sl4(pa: Point2, pb: Point2) -> float:
         raise DomainViolation("sl4 pair needs (dy)^2 >= (dx)^2", pb)
     if den <= 0.0:
         raise DomainViolation("sl4 pair denominator is not positive", pb)
-    return math.sqrt(e / den)
+    return _finite(math.sqrt(e / den), pb)
 
 
 # -- window evaluation -------------------------------------------------------
@@ -180,7 +192,9 @@ def _window_sl3(pa: Point2, pb: Point2, pc: Point2) -> WindowInvariants:
         raise DomainViolation("degenerate window (coincident points)", pb)
     q_val = n_val / (i2 + i1n + i1n1)
     rad = 1.0 - 8.0 * q_val / denom
-    return WindowInvariants(i1n, i1n1, i2, _checked_sqrt(rad, "window J1"))
+    j1 = _checked_sqrt(rad, "window J1")
+    _finite(i1n + i1n1 + i2 + j1, pb)
+    return WindowInvariants(i1n, i1n1, i2, j1)
 
 
 def _window_sl4(pa: Point2, pb: Point2, pc: Point2) -> WindowInvariants:
@@ -205,7 +219,9 @@ def _window_sl4(pa: Point2, pb: Point2, pc: Point2) -> WindowInvariants:
         raise DomainViolation("degenerate window (coincident points)", pb)
     q_val = n_val / (i2 + i1n + i1n1)
     rad = 2.0 * (q_val / denom - 1.0)
-    return WindowInvariants(i1n, i1n1, i2, _checked_sqrt(rad, "window J1"))
+    j1 = _checked_sqrt(rad, "window J1")
+    _finite(i1n + i1n1 + i2 + j1, pb)
+    return WindowInvariants(i1n, i1n1, i2, j1)
 
 
 def window_invariants(

@@ -157,10 +157,10 @@ def test_criterion_02_vertex_crossing(runs, capfd):
 def test_criterion_03_baseline_blowup_window(capfd):
     """The adaptive integrator on the expanded third-order equation from
     (1, 1, 1, 3) halts inside [1.23, 1.33]."""
-    problem = ode_rhs_library(RealizationId.SL3, 3, F="square")
+    problem = ode_rhs_library(RealizationId.SL3, 3, F=square)
     t0 = time.perf_counter()
     result = rk45_integrate(
-        problem.system, 1.0, [1.0, 1.0, 3.0], 6.0, rtol=1e-8, atol=1e-10
+        problem.rhs, 1.0, [1.0, 1.0, 3.0], 6.0, rtol=1e-8, atol=1e-10
     )
     seconds = time.perf_counter() - t0
     with _criterion(capfd, 3, "rk45 halts in [1.23, 1.33]",
@@ -456,9 +456,7 @@ def test_criterion_09_baseline_verification(capfd):
                     want = 0.0 if p < 2 else p * (p - 1) * xmid ** (p - 2)
                     assert abs(d2 - want) <= 1e-12 * (1.0 + abs(want))
 
-        from invscheme.baselines import FirstOrderSystem
-
-        growth = FirstOrderSystem(1, lambda x, s: [s[0]])
+        growth = lambda x, s: [s[0]]
         result = rk45_integrate(growth, 0.0, [1.0], 1.0, rtol=1e-10, atol=1e-12)
         assert result.status == "ok"
         assert abs(result.states[-1][0] - math.e) <= 1e-8

@@ -18,8 +18,7 @@ from invscheme import (
     rk45_integrate,
 )
 from invscheme.baselines import (
-    FirstOrderSystem,
-    UniformMesh,
+    square,
     standard_fd_step,
     stencil_d1_4pt,
     stencil_d2_4pt,
@@ -105,35 +104,32 @@ def test_stencil_values_from_captioned_combinations():
 
 def test_standard_fd_step_linear_ode():
     """y'' = 0 from two samples of a line extends collinearly."""
-    mesh = UniformMesh(0.0, 0.1)
     residual = lambda x, yp, ypp: ypp
-    y2 = standard_fd_step(residual, [1.0, 1.3], mesh, 0, guess=1.7)
+    y2 = standard_fd_step(residual, [1.0, 1.3], 0.1, 0.1, guess=1.7)
     assert abs(y2 - 1.6) < 1e-12
 
 
 def test_standard_fd_step_cubic_ode():
     """y''' = 0 on the 4-point stencil extends any quadratic exactly."""
-    mesh = UniformMesh(1.0, 0.2)
     poly = lambda x: 2.0 + 0.5 * x - 0.75 * x * x
     residual = lambda x, yp, ypp, yppp: yppp
-    ys = [poly(mesh.node(i)) for i in range(3)]
-    y3 = standard_fd_step(residual, ys, mesh, 0, guess=ys[-1])
-    assert abs(y3 - poly(mesh.node(3))) < 1e-11
+    ys = [poly(1.0 + i * 0.2) for i in range(3)]
+    y3 = standard_fd_step(residual, ys, 1.0 + 0.2, 0.2, guess=ys[-1])
+    assert abs(y3 - poly(1.0 + 3 * 0.2)) < 1e-11
 
 
 def test_standard_fd_step_divergence():
-    mesh = UniformMesh(1.0, 0.01)
     # residual with no root in y_next
     residual = lambda x, yp, ypp: 1.0 + ypp * ypp
     with pytest.raises(NewtonDivergence):
-        standard_fd_step(residual, [1.0, 1.0], mesh, 0, guess=1.0)
+        standard_fd_step(residual, [1.0, 1.0], 1.01, 0.01, guess=1.0)
 
 
 # -- RK5(4) --------------------------------------------------------------------
 
 
 def test_rk45_exponential():
-    sys_exp = FirstOrderSystem(1, lambda x, s: [s[0]])
+    sys_exp = lambda x, s: [s[0]]
     result = rk45_integrate(sys_exp, 0.0, [1.0], 1.0, rtol=1e-10, atol=1e-12)
     assert result.status == "ok"
     assert abs(result.states[-1][0] - math.e) <= 1e-8
@@ -141,7 +137,7 @@ def test_rk45_exponential():
 
 def test_rk45_tolerance_scaling():
     """Tightening the tolerance tightens the global error on y' = y."""
-    sys_exp = FirstOrderSystem(1, lambda x, s: [s[0]])
+    sys_exp = lambda x, s: [s[0]]
     errs = []
     for tol in (1e-6, 1e-8, 1e-10):
         result = rk45_integrate(sys_exp, 0.0, [1.0], 1.0, rtol=tol, atol=tol * 1e-2)
@@ -151,7 +147,7 @@ def test_rk45_tolerance_scaling():
 
 
 def test_rk45_oscillator_energy():
-    sys_osc = FirstOrderSystem(2, lambda x, s: [s[1], -s[0]])
+    sys_osc = lambda x, s: [s[1], -s[0]]
     result = rk45_integrate(sys_osc, 0.0, [1.0, 0.0], 2.0 * math.pi, rtol=1e-8, atol=1e-10)
     assert result.status == "ok"
     for state in result.states:
@@ -162,14 +158,14 @@ def test_rk45_oscillator_energy():
 def test_rk45_halts_on_derivative_blowup():
     """The solved third-order equation from the jet (1, 1, 1, 3) stops
     with a structured halt inside [1.23, 1.33]."""
-    problem = ode_rhs_library(RealizationId.SL3, 3, F="square")
-    result = rk45_integrate(problem.system, 1.0, [1.0, 1.0, 3.0], 6.0, rtol=1e-8, atol=1e-10)
+    problem = ode_rhs_library(RealizationId.SL3, 3, F=square)
+    result = rk45_integrate(problem.rhs, 1.0, [1.0, 1.0, 3.0], 6.0, rtol=1e-8, atol=1e-10)
     assert result.status in ("singularity", "stepUnderflow")
     assert 1.23 <= result.halt_x <= 1.33
 
 
 def test_rk45_max_steps():
-    sys_exp = FirstOrderSystem(1, lambda x, s: [s[0]])
+    sys_exp = lambda x, s: [s[0]]
     result = rk45_integrate(sys_exp, 0.0, [1.0], 1.0, rtol=1e-10, atol=1e-12, max_steps=3)
     assert result.status == "maxSteps"
 
@@ -186,37 +182,37 @@ def test_order2_residual_is_invariant_minus_constant():
 
 def test_order3_solved_form_consistency_sl3():
     """Plugging the solved y''' back into the residual gives ~0."""
-    problem = ode_rhs_library(RealizationId.SL3, 3, F="square")
+    problem = ode_rhs_library(RealizationId.SL3, 3, F=square)
     rng = random.Random(21)
     for _ in range(100):
         x = rng.uniform(0.3, 3.0)
         yp = rng.uniform(-2.0, 2.0)
         ypp = rng.uniform(-2.0, 2.0)
-        yppp = problem.system.rhs(x, [0.0, yp, ypp])[2]
+        yppp = problem.rhs(x, [0.0, yp, ypp])[2]
         assert abs(problem.residual(x, yp, ypp, yppp)) < 1e-10 * (1 + abs(yppp))
 
 
 def test_order3_solved_form_consistency_sl4():
-    problem = ode_rhs_library(RealizationId.SL4, 3, F="square")
+    problem = ode_rhs_library(RealizationId.SL4, 3, F=square)
     rng = random.Random(22)
     for _ in range(100):
         x = rng.uniform(0.3, 3.0)
         yp = rng.choice((-1.0, 1.0)) * rng.uniform(1.05, 3.0)
         ypp = rng.uniform(-2.0, 2.0)
-        yppp = problem.system.rhs(x, [0.0, yp, ypp])[2]
+        yppp = problem.rhs(x, [0.0, yp, ypp])[2]
         assert abs(problem.residual(x, yp, ypp, yppp)) < 1e-9 * (1 + abs(yppp))
 
 
 def test_expanded_equation_iff_invariant_relation_sl3():
     """The expanded third-order equation vanishes exactly when
     I2 = I1^2, on random jets."""
-    problem = ode_rhs_library(RealizationId.SL3, 3, F="square")
+    problem = ode_rhs_library(RealizationId.SL3, 3, F=square)
     rng = random.Random(33)
     for _ in range(100):
         x = rng.uniform(0.3, 3.0)
         yp = rng.uniform(-2.0, 2.0)
         ypp = rng.uniform(-2.0, 2.0)
-        solved = problem.system.rhs(x, [0.0, yp, ypp])[2]
+        solved = problem.rhs(x, [0.0, yp, ypp])[2]
         for yppp in (solved, solved + rng.uniform(0.5, 2.0)):
             jet = JetPoint(x, yp, ypp, yppp)
             i1 = cont_i1_sl3(jet)
@@ -231,13 +227,13 @@ def test_expanded_equation_iff_invariant_relation_sl3():
 
 
 def test_expanded_equation_iff_invariant_relation_sl4():
-    problem = ode_rhs_library(RealizationId.SL4, 3, F="square")
+    problem = ode_rhs_library(RealizationId.SL4, 3, F=square)
     rng = random.Random(34)
     for _ in range(100):
         x = rng.uniform(0.3, 3.0)
         yp = rng.choice((-1.0, 1.0)) * rng.uniform(1.05, 3.0)
         ypp = rng.uniform(-2.0, 2.0)
-        solved = problem.system.rhs(x, [0.0, yp, ypp])[2]
+        solved = problem.rhs(x, [0.0, yp, ypp])[2]
         for yppp in (solved, solved + rng.uniform(0.5, 2.0)):
             jet = JetPoint(x, yp, ypp, yppp)
             i1 = cont_i1_sl4(jet)
@@ -252,13 +248,13 @@ def test_expanded_equation_iff_invariant_relation_sl4():
 
 
 def test_solved_form_rejects_unit_slope_sl4():
-    problem = ode_rhs_library(RealizationId.SL4, 3, F="square")
+    problem = ode_rhs_library(RealizationId.SL4, 3, F=square)
     with pytest.raises(DomainViolation):
-        problem.system.rhs(1.0, [0.0, 1.0, 0.5])
+        problem.rhs(1.0, [0.0, 1.0, 0.5])
 
 
 def test_captioned_jet_satisfies_solved_form():
     """The order-3 starting jet (1, 1, 3) closes the residual by construction."""
-    problem = ode_rhs_library(RealizationId.SL3, 3, F="square")
-    yppp = problem.system.rhs(1.0, [1.0, 1.0, 3.0])[2]
+    problem = ode_rhs_library(RealizationId.SL3, 3, F=square)
+    yppp = problem.rhs(1.0, [1.0, 1.0, 3.0])[2]
     assert abs(problem.residual(1.0, 1.0, 3.0, yppp)) < 1e-10

@@ -305,8 +305,12 @@ _FIG1_RAW = {
         {"y0": math.inf},
         {"x0": math.nan},
         {"a": None, "yp0": 0.5},
+        {"C": None, "a": None, "yp0": 0.5},
     ],
-    ids=["h-text", "C-negative", "h-tiny", "y0-infinite", "x0-nan", "invariant-without-a"],
+    ids=[
+        "h-text", "C-negative", "h-tiny", "y0-infinite", "x0-nan", "invariant-without-a",
+        "order2-without-C",
+    ],
 )
 def test_cli_run_reports_bad_values_as_config_errors(tmp_path, capsys, change):
     raw = {k: v for k, v in {**_FIG1_RAW, **change}.items() if v is not None}
@@ -365,12 +369,16 @@ def test_cli_invariants_numeric_failure_exits_2(capsys):
 
 
 def test_cli_underflowing_denominators_exit_2(tmp_path, capsys):
-    """x-products that underflow to zero are domain violations, reported
-    with exit code 2 instead of a ZeroDivisionError."""
-    points = "1e-110,0;1e-110,1e-111;1e-110,2e-111;1e-110,3e-111"
-    for realization in ("sl3", "sl4"):
-        assert cli_main(["invariants", "--realization", realization, "--points", points]) == 2
-        assert "invariant evaluation failed" in capsys.readouterr().err
+    """x-products that underflow to zero, and squares or x-products that
+    overflow, are domain violations, reported with exit code 2 instead of
+    a ZeroDivisionError or NaN invariants."""
+    for points in (
+        "1e-110,0;1e-110,1e-111;1e-110,2e-111;1e-110,3e-111",
+        "1e200,0;1e200,1e199;1e200,2e199;1e200,3e199",
+    ):
+        for realization in ("sl3", "sl4"):
+            assert cli_main(["invariants", "--realization", realization, "--points", points]) == 2
+            assert "invariant evaluation failed" in capsys.readouterr().err
     cfg_path = tmp_path / "tiny.json"
     cfg_path.write_text(json.dumps({
         "name": "tiny", "realization": "sl3", "order": "Second",

@@ -77,7 +77,7 @@ def test_cont_i2_sl3_on_solved_jets():
         x = rng.uniform(0.3, 3.0)
         yp = rng.uniform(-2.0, 2.0)
         ypp = rng.uniform(-2.0, 2.0)
-        yppp = problem.system.rhs(x, [0.0, yp, ypp])[2]
+        yppp = problem.rhs(x, [0.0, yp, ypp])[2]
         jet = JetPoint(x=x, yp=yp, ypp=ypp, yppp=yppp)
         i1 = cont_i1_sl3(jet)
         assert abs(cont_i2_sl3(jet) - i1 * i1) < 1e-9 * (1.0 + i1 * i1)
@@ -107,7 +107,7 @@ def test_cont_i2_sl4_on_solved_jets():
         x = rng.uniform(0.3, 3.0)
         yp = rng.uniform(1.1, 3.0) * rng.choice((-1.0, 1.0))
         ypp = rng.uniform(-2.0, 2.0)
-        yppp = problem.system.rhs(x, [0.0, yp, ypp])[2]
+        yppp = problem.rhs(x, [0.0, yp, ypp])[2]
         jet = JetPoint(x=x, yp=yp, ypp=ypp, yppp=yppp)
         i1 = cont_i1_sl4(jet)
         assert abs(cont_i2_sl4(jet) - i1 * i1) < 1e-9 * (1.0 + i1 * i1)
@@ -118,7 +118,7 @@ def test_cont_i2_sl4_fig_sized_jet():
     """At the third-order initial jet (2, -1.5, -1.5), I2 = I1^2 holds
     once y''' is taken from the solved equation."""
     problem = ode_rhs_library(RealizationId.SL4, 3, F=lambda u: u * u)
-    yppp = problem.system.rhs(2.0, [1.0, -1.5, -1.5])[2]
+    yppp = problem.rhs(2.0, [1.0, -1.5, -1.5])[2]
     jet = JetPoint(x=2.0, yp=-1.5, ypp=-1.5, yppp=yppp)
     i1 = cont_i1_sl4(jet)
     assert abs(cont_i2_sl4(jet) - i1 * i1) < 1e-10
