@@ -37,22 +37,6 @@ class GroupElement:
             raise DomainViolation(f"group element determinant {det} is not 1")
 
 
-IDENTITY = GroupElement(1.0, 0.0, 0.0, 1.0)
-
-
-def compose(g1: GroupElement, g2: GroupElement) -> GroupElement:
-    """Matrix product g1 g2, renormalized to determinant one."""
-    a = g1.a * g2.a + g1.b * g2.c
-    b = g1.a * g2.b + g1.b * g2.d
-    c = g1.c * g2.a + g1.d * g2.c
-    d = g1.c * g2.b + g1.d * g2.d
-    det = a * d - b * c
-    if det <= 0.0 or not math.isfinite(det):
-        raise DomainViolation(f"composition lost positivity, det = {det}")
-    s = 1.0 / math.sqrt(det)
-    return GroupElement(a * s, b * s, c * s, d * s)
-
-
 def one_parameter(index: int, t: float) -> GroupElement:
     """exp(t X_index) as a matrix, index in {1, 2, 3}."""
     if index == 1:

@@ -193,10 +193,12 @@ def config_from_raw(raw: dict) -> ExperimentConfig:
     if (
         not isinstance(window_raw, (list, tuple))
         or len(window_raw) != 2
-        or not all(isinstance(v, (int, float)) for v in window_raw)
+        or not all(
+            isinstance(v, (int, float)) and abs(v) <= sys.float_info.max for v in window_raw
+        )
         or not window_raw[0] < window_raw[1]
     ):
-        raise ConfigError("xWindow must be [xmin, xmax] with xmin < xmax")
+        raise ConfigError("xWindow must be [xmin, xmax] of finite numbers with xmin < xmax")
     default_methods = ["invariant", "standardFD"] + (["rk45"] if order == 3 else [])
     methods_raw = raw.get("methods", default_methods)
     if not isinstance(methods_raw, (list, tuple)):
@@ -648,8 +650,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--out", default=None, help="output directory")
     run_p.add_argument("--methods", default=None, help="comma-separated method list")
     sub.add_parser("list", help="list builtin experiments")
-    val_p = sub.add_parser("validate", help="validate a JSON config file")
-    val_p.add_argument("config")
+    val_p = sub.add_parser("validate", help="validate a builtin or JSON-file experiment")
+    val_p.add_argument("config", help="builtin name (fig1..fig4) or config path")
     inv_p = sub.add_parser("invariants", help="evaluate invariants on given points")
     inv_p.add_argument("--realization", required=True, choices=["sl3", "sl4"])
     inv_p.add_argument(
@@ -663,11 +665,16 @@ def _load_config(spec: str) -> ExperimentConfig:
     for cfg in builtin_experiments():
         if cfg.name == spec:
             return cfg
-    path = Path(spec)
-    if not path.exists():
-        raise ConfigError(f"no builtin experiment or config file named {spec!r}")
     try:
-        raw = json.loads(path.read_text())
+        text = Path(spec).read_text()
+    except FileNotFoundError:
+        raise ConfigError(
+            f"no builtin experiment or config file named {spec!r} (no such file)"
+        )
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {spec!r}: {exc}")
+    try:
+        raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {spec}: {exc}")
     return config_from_raw(raw)
@@ -744,16 +751,7 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
                 print(cfg.name)
             return 0
         if args.command == "validate":
-            path = Path(args.config)
-            if not path.exists():
-                print(f"no such file: {args.config}", file=sys.stderr)
-                return 1
-            try:
-                raw = json.loads(path.read_text())
-            except json.JSONDecodeError as exc:
-                print(f"invalid JSON: {exc}", file=sys.stderr)
-                return 1
-            cfg = config_from_raw(raw)
+            cfg = _load_config(args.config)
             print(f"ok: {cfg.name} ({cfg.realization.value}, order {cfg.order})")
             return 0
         if args.command == "invariants":

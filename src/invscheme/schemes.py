@@ -10,7 +10,9 @@ which is a conic in the coordinates of p; subtracting one conic equation
 from the other leaves a straight line, so every step reduces to a single
 line/conic intersection.  A short Newton polish removes the intersection
 roundoff, and a damped 2-D Newton on the pair-invariant equations serves
-as an independent fallback for degenerate reductions.
+as an independent fallback for a polish that stops short of the residual
+gate.  A degenerate reduction or a polish that leaves the invariant domain
+ends the step instead, since no Newton solve can succeed from there.
 
 Root selection: the intersection quadratic has two roots, mirror images
 across the line.  Away from tangency both lie forward of the motion, so
@@ -76,11 +78,11 @@ class SchemeState:
     window (order 3 only).  side is the turning side carried for root
     selection: +1, -1, or 0 when not yet established.
 
-    pairs carries the pair invariants of consecutive window points, oldest
-    first.  bootstrap and advance_state fill it, so that a step evaluates
-    no pair invariant of its window; a state built without it evaluates
-    them on its first step.  targets are the step's targets, computed once
-    per state: the step computes them and advance_state reuses them.
+    pairs holds the pair invariants of consecutive window points, oldest
+    first.  bootstrap and advance_state pass them; a state built without
+    them evaluates them in window order, raising the first pair's error.
+    targets are the step's targets, computed once per state: the step
+    computes them and advance_state reuses them.
     """
 
     window: tuple[Point2, ...]
@@ -97,7 +99,11 @@ class SchemeState:
             )
         if self.spec.order == 3 and self.last_j1 is None:
             raise ValueError("order-3 state needs last_j1")
-        if self.pairs is not None and len(self.pairs) != self.spec.order - 1:
+        if self.pairs is None:
+            disc = _pair_disc(self.spec.realization)
+            pairs = tuple(disc(pa, pb) for pa, pb in zip(self.window, self.window[1:]))
+            object.__setattr__(self, "pairs", pairs)
+        elif len(self.pairs) != self.spec.order - 1:
             raise ValueError("pairs needs one invariant per consecutive window pair")
 
     @cached_property
@@ -156,10 +162,9 @@ def _conic(
 
 @dataclass(frozen=True)
 class SchemeTargets:
-    """Per-step targets: measured window pair invariant, outer target M,
-    and (order 3 only) the next J1 value produced by the update rule."""
+    """Per-step targets: outer target M and (order 3 only) the next J1
+    value produced by the update rule."""
 
-    i1_window: float
     m: float
     j1_next: Optional[float] = None
 
@@ -176,15 +181,6 @@ def _invert_j1(realization: RealizationId, sum_pair: float, prod: float, t: floa
     return sum_pair + prod * sum_pair * (1.0 + t * t / 2.0)
 
 
-def _window_pairs(state: SchemeState):
-    """The window's pair invariants, oldest first: the carried ones, or
-    evaluated one at a time as they are consumed."""
-    if state.pairs is not None:
-        return state.pairs
-    disc = _pair_disc(state.spec.realization)
-    return (disc(pa, pb) for pa, pb in zip(state.window, state.window[1:]))
-
-
 def scheme_targets(state: SchemeState) -> SchemeTargets:
     """Compute the step's target equations from the current window.
 
@@ -194,12 +190,12 @@ def scheme_targets(state: SchemeState) -> SchemeTargets:
     spec = state.spec
     k = spec.K
     if spec.order == 2:
-        (i1n,) = _window_pairs(state)
+        (i1n,) = state.pairs
         t = spec.C
         m = _invert_j1(spec.realization, i1n + k, i1n * k, t)
         j1_next = None
     else:
-        i1n, i1n1 = _window_pairs(state)
+        i1n, i1n1 = state.pairs
         s3 = i1n + i1n1 + k
         tau = state.last_j1
         if spec.realization is RealizationId.SL3:
@@ -212,17 +208,16 @@ def scheme_targets(state: SchemeState) -> SchemeTargets:
                 state.window[-1],
             )
         m = _invert_j1(spec.realization, i1n1 + k, i1n1 * k, j1_next)
-        i1n = i1n1
     if m <= 0.0:
         raise NoIntersection(
             f"outer pair invariant target {m:.3e} is not positive",
             state.window[-1],
         )
-    return SchemeTargets(i1n, m, j1_next)
+    return SchemeTargets(m, j1_next)
 
 
 def _check_mesh(state: SchemeState) -> None:
-    for value, pb in zip(_window_pairs(state), state.window[1:]):
+    for value, pb in zip(state.pairs, state.window[1:]):
         if not near_equal(value, state.spec.K, _MESH_GUARD):
             raise DomainViolation(
                 f"window pair invariant {value:.6e} does not match "
@@ -243,7 +238,7 @@ def _line(
     d = outer[5] - mesh[5]
     nrm = math.hypot(a, b)
     if nrm == 0.0:
-        raise DomainViolation("conic difference is degenerate, no line", p_last)
+        raise NoIntersection("the step's level sets are concentric, no line", p_last)
     return (a / nrm, b / nrm, d / nrm), mesh
 
 
@@ -256,8 +251,9 @@ def reduce_to_line_conic(state: SchemeState) -> tuple[LineCoeffs, ConicCoeffs]:
     difference is a line; (line, mesh conic) has exactly the same solution
     set as the original pair.  The line is returned with a unit normal.
 
-    Raises DomainViolation when the difference degenerates (no line),
-    in which case the caller should fall back to the 2-D Newton solver.
+    Raises NoIntersection when the difference degenerates (no line): the
+    level sets then share their linear part too, so they are concentric,
+    and disjoint unless p_prev == p_last, which the window's pairs reject.
     """
     line, mesh = _line(
         state.spec.realization, state.window[-2], state.window[-1],
@@ -294,15 +290,16 @@ def _fast_step(
     the one whose turn matches side (any turn matches side 0); among equals
     take the root nearest the linear extrapolation of the last chord.  The
     turn carries the pick at order 2 as well as at order 3: the mirror
-    roots lie only O(K^2) apart (see _extrapolated_guess), as close as the
-    extrapolation's own O(K^2) miss, so nearness alone picks the other
-    root on 6651 of the 20000 steps of fig1 at h = 0.01.  Picking by
+    roots lie only O(K^2) apart, as close as the extrapolation's own
+    O(K^2) miss, so nearness alone picks the other root on 6651 of the
+    20000 steps of fig1 at h = 0.01.  Picking by
     forward distance instead can capture the mirror, whose displacement in
     the hyperbolic-rotation geometry grows without bound as chords approach
     slope +-1.
 
-    Returns _polish's result for that root.  Raises DomainViolation when
-    the reduction degenerates, NoIntersection when no root is admissible.
+    Returns _polish's result for that root.  Raises NoIntersection when the
+    reduction degenerates or no root is admissible, and DomainViolation
+    when a polish iterate leaves the invariant domain.
     """
     (la, lb, ld), (qxx, qxy, qyy, qx, qy, q0) = _line(realization, p_prev, p_last, k, m)
     # A second normalization: dropping it moves the last bit of some roots,
@@ -390,17 +387,14 @@ def _polish(
     Returns (x, y, mesh residual, scheme residual, iterations).  The
     residuals are those of the returned point, |I(p_last, p) - k| and
     |I(p_prev, p) - m| with the operations of _step_residuals, so they are
-    the same bits; both are infinite when the iterate leaves the invariant
-    domain.
+    the same bits.  Raises DomainViolation when an iterate leaves the
+    invariant domain.
     """
     lx, ly, px, py = p_last.x, p_last.y, p_prev.x, p_prev.y
     iters = 0
     for _ in range(4):
-        try:
-            da, gax, gay = _disc_grad(realization, lx, ly, x, y)
-            db, gbx, gby = _disc_grad(realization, px, py, x, y)
-        except DomainViolation:
-            return x, y, math.inf, math.inf, iters
+        da, gax, gay = _disc_grad(realization, lx, ly, x, y)
+        db, gbx, gby = _disc_grad(realization, px, py, x, y)
         r1, r2 = da - k, db - m
         if max(abs(r1), abs(r2)) < 1e-14 * max(1.0, k):
             return x, y, abs(r1), abs(r2), iters
@@ -411,11 +405,8 @@ def _polish(
         sy = (gax * r2 - gbx * r1) / det
         x, y = x - sx, y - sy
         iters += 1
-    try:
-        da = _disc_grad(realization, lx, ly, x, y)[0]
-        db = _disc_grad(realization, px, py, x, y)[0]
-    except DomainViolation:
-        return x, y, math.inf, math.inf, iters
+    da = _disc_grad(realization, lx, ly, x, y)[0]
+    db = _disc_grad(realization, px, py, x, y)[0]
     return x, y, abs(da - k), abs(db - m), iters
 
 
@@ -492,56 +483,32 @@ def newton_fallback_step(state: SchemeState, guess: Point2) -> Point2:
     raise NewtonDivergence(f"no convergence, residual {norm(r):.3e}", p)
 
 
-def _extrapolated_guess(state: SchemeState) -> Point2:
-    """Polynomial continuation of the window, quadratic when three points
-    are available.
-
-    The extra order matters: the step's mirror root pair straddles the
-    last chord line only O(K^2) apart, so a linear guess sits ambiguously
-    between the two roots, while the quadratic one lands O(K^3) from the
-    true continuation and well inside its Newton basin.
-    """
-    w = state.window
-    if len(w) >= 3:
-        return Point2(
-            w[-3].x - 3.0 * w[-2].x + 3.0 * w[-1].x,
-            w[-3].y - 3.0 * w[-2].y + 3.0 * w[-1].y,
-        )
-    p_prev, p_last = w[-2], w[-1]
-    return Point2(2.0 * p_last.x - p_prev.x, 2.0 * p_last.y - p_prev.y)
-
-
 def step_with_diagnostics(state: SchemeState) -> tuple[Point2, StepDiagnostics]:
     """One scheme step: line/conic fast path, Newton fallback, diagnostics.
 
     Each quantity is computed once.  The mesh guard and the targets read
-    the state's carried pair invariants, and the targets stay on the state
-    for advance_state.  The fast path's polish returns the residuals of
-    its last iterate; only the Newton fallback evaluates them afresh.  A
-    residual above 5e-11 (or not a number) sends the point to the fallback.
+    the state's pair invariants, and the targets stay on the state for
+    advance_state.  The fast path's polish returns the residuals of its
+    last iterate.  Only a finite residual above 5e-11 goes to the Newton
+    fallback, which evaluates them afresh; one that stays above it, or is
+    not finite, raises NewtonDivergence.
     """
     _check_mesh(state)
     spec = state.spec
     targets = state.targets
     p_prev, p_last = state.window[-2], state.window[-1]
-    try:
-        x, y, mesh_res, scheme_res, iters = _fast_step(
-            spec.realization, p_prev, p_last, spec.K, targets.m, state.side
-        )
-        root = Point2(x, y)
-    except DomainViolation:
-        root = newton_fallback_step(state, _extrapolated_guess(state))
-        mesh_res, scheme_res = _step_residuals(state, targets.m, root)
-        iters = 50
-    if not max(mesh_res, scheme_res) <= _RESIDUAL_HALT:
+    x, y, mesh_res, scheme_res, iters = _fast_step(
+        spec.realization, p_prev, p_last, spec.K, targets.m, state.side
+    )
+    root = Point2(x, y)
+    res = max(mesh_res, scheme_res)
+    if _RESIDUAL_HALT < res < math.inf:
         root = newton_fallback_step(state, root)
         mesh_res, scheme_res = _step_residuals(state, targets.m, root)
         iters += 1
         res = max(mesh_res, scheme_res)
-        if res > _RESIDUAL_HALT:
-            raise NewtonDivergence(
-                f"step residual {res:.3e} did not converge", root
-            )
+    if not res <= _RESIDUAL_HALT:
+        raise NewtonDivergence(f"step residual {res:.3e} did not converge", root)
     j1 = window_j1(spec.realization, p_prev, p_last, root)
     j2 = None
     if spec.order == 3:
@@ -561,19 +528,13 @@ def advance_state(state: SchemeState, p_next: Point2) -> SchemeState:
     The next state gets the turning side, at order 3 the J1 target of the
     update rule (from the targets the step left on state), and the pair
     invariants of its window: the carried ones plus one evaluation for the
-    pair that p_next closes.  When that evaluation raises, the pairs stay
-    uncomputed, and the next step evaluates them and raises in turn.
+    pair that p_next closes, which the step's mesh residual already checked.
     """
     spec, window = state.spec, state.window
     side = turning_side(window[-2], window[-1], p_next, fallback=state.side)
     last_j1 = state.targets.j1_next if spec.order == 3 else None
-    pairs = None
-    try:
-        newest = _pair_disc(spec.realization)(window[-1], p_next)
-    except NumericError:
-        pass
-    else:
-        pairs = (newest,) if spec.order == 2 else (state.targets.i1_window, newest)
+    newest = _pair_disc(spec.realization)(window[-1], p_next)
+    pairs = state.pairs[1:] + (newest,)
     return SchemeState(window[1:] + (p_next,), spec, last_j1, side, pairs)
 
 
@@ -762,9 +723,9 @@ def run_scheme(
 
     The trajectory starts with the window points and records per-step
     diagnostics and the wall seconds of every accepted step; whatever stops
-    the run is stored in the halt record, so failures are data rather than
-    exceptions.  A point that lands outside x_window is kept (it is the
-    evidence of the exit).
+    the run, in the step or in advancing the state past it, is stored in
+    the halt record, so failures are data rather than exceptions.  A point
+    that lands outside x_window is kept (it is the evidence of the exit).
     """
     traj = Trajectory(points=list(state.window))
     if max_steps <= 0:
@@ -774,12 +735,12 @@ def run_scheme(
     for _ in range(max_steps):
         try:
             p_next, diag = step_with_diagnostics(state)
+            state = advance_state(state, p_next)
         except NumericError as exc:
             traj.halt = HaltInfo(exc.kind, x=state.window[-1].x, detail=exc.detail)
             return traj
         traj.points.append(p_next)
         traj.diagnostics.append(diag)
-        state = advance_state(state, p_next)
         t1 = time.perf_counter()
         traj.step_seconds.append(t1 - t0)
         t0 = t1

@@ -19,6 +19,22 @@ from invscheme.invariants import _checked_sqrt
 from invscheme.schemes import ConicCoeffs, LineCoeffs
 
 
+IDENTITY = GroupElement(1.0, 0.0, 0.0, 1.0)
+
+
+def compose(g1: GroupElement, g2: GroupElement) -> GroupElement:
+    """Matrix product g1 g2, renormalized to determinant one."""
+    a = g1.a * g2.a + g1.b * g2.c
+    b = g1.a * g2.b + g1.b * g2.d
+    c = g1.c * g2.a + g1.d * g2.c
+    d = g1.c * g2.b + g1.d * g2.d
+    det = a * d - b * c
+    if det <= 0.0 or not math.isfinite(det):
+        raise DomainViolation(f"composition lost positivity, det = {det}")
+    s = 1.0 / math.sqrt(det)
+    return GroupElement(a * s, b * s, c * s, d * s)
+
+
 def random_group_element(rng: np.random.Generator, scale: float = 1.0) -> GroupElement:
     """Random element near the identity, normalized to determinant one."""
     for _ in range(1000):

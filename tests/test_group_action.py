@@ -16,9 +16,9 @@ from invscheme import (
     flow_oracle,
     one_parameter,
 )
-from invscheme.group_action import IDENTITY, act_sl3, act_sl4, compose
+from invscheme.group_action import act_sl3, act_sl4
 
-from helpers import random_group_element
+from helpers import IDENTITY, compose, random_group_element
 
 
 def test_identity_action():

@@ -277,6 +277,8 @@ def test_cli_validate_accepts_good_config(tmp_path, capsys):
     }))
     assert cli_main(["validate", str(cfg_path)]) == 0
     assert capsys.readouterr().out.strip() == "ok: good (sl3, order 2)"
+    assert cli_main(["validate", "fig4"]) == 0
+    assert capsys.readouterr().out.strip() == "ok: fig4 (sl4, order 3)"
 
 
 def test_cli_validate_rejects_incomplete_order3(tmp_path, capsys):
@@ -306,10 +308,12 @@ _FIG1_RAW = {
         {"x0": math.nan},
         {"a": None, "yp0": 0.5},
         {"C": None, "a": None, "yp0": 0.5},
+        {"xWindow": [0.0, math.inf]},
+        {"xWindow": [0, 10**400]},
     ],
     ids=[
         "h-text", "C-negative", "h-tiny", "y0-infinite", "x0-nan", "invariant-without-a",
-        "order2-without-C",
+        "order2-without-C", "xWindow-infinite", "xWindow-huge-int",
     ],
 )
 def test_cli_run_reports_bad_values_as_config_errors(tmp_path, capsys, change):
@@ -325,11 +329,21 @@ def test_cli_run_reports_bad_values_as_config_errors(tmp_path, capsys, change):
 
 def test_cli_validate_missing_file_and_bad_json(tmp_path, capsys):
     assert cli_main(["validate", str(tmp_path / "absent.json")]) == 1
-    assert "no such file" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "no such file" in err and "no builtin experiment or config file" in err
     broken = tmp_path / "broken.json"
     broken.write_text("{not json")
     assert cli_main(["validate", str(broken)]) == 1
     assert "invalid JSON" in capsys.readouterr().err
+    # A directory, a file that is not UTF-8, and a name too long for the
+    # file system are config errors for both commands, not tracebacks.
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"name": "caf\xe9"}')
+    for unreadable in (str(tmp_path), str(latin1), "x" * 5000):
+        for command in ("validate", "run"):
+            assert cli_main([command, unreadable]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("config error:") and "Traceback" not in err
 
 
 def test_cli_usage_errors(capsys):

@@ -513,11 +513,34 @@ def test_run_scheme_x_window_exit():
 
 
 def test_run_scheme_records_numeric_halt():
-    """A run that loses the intersection reports it in the trajectory."""
-    state = bootstrap(RealizationId.SL3, 3, FIG2_ICS, h=0.01, f=square)
-    traj = run_scheme(state, 5000)
-    assert traj.halt.reason in ("noIntersection", "newtonDivergence")
-    assert traj.halt.x is not None
+    """A run that loses the intersection reports it in the trajectory, and
+    so does fig4 at h = 0.01, whose polish leaves the sl4 invariant domain:
+    its halt names that domain instead of a Newton solve started from
+    outside it."""
+    sl4_domain = "pair outside the sl4 invariant domain"
+    cases = [
+        (RealizationId.SL3, FIG2_ICS, ("noIntersection", "newtonDivergence"), None),
+        (RealizationId.SL4, FIG4_ICS, ("domainViolation",), sl4_domain),
+    ]
+    for realization, ics, reasons, detail in cases:
+        state = bootstrap(realization, 3, ics, h=0.01, f=square)
+        traj = run_scheme(state, 5000)
+        assert traj.halt.reason in reasons
+        assert detail in (None, traj.halt.detail)
+        assert traj.halt.x == traj.points[-1].x
+
+
+@pytest.mark.parametrize(
+    "realization,m",
+    [(RealizationId.SL3, 2.0), (RealizationId.SL4, 1.0)],
+    ids=["sl3", "sl4"],
+)
+def test_concentric_level_sets_have_no_intersection(realization, m):
+    """Level sets that share their quadratic and linear parts leave no
+    line to intersect; the step reports it instead of searching for a
+    root that is not isolated."""
+    with pytest.raises(NoIntersection):
+        schemes._fast_step(realization, Point2(1.0, 0.0), Point2(2.0, 0.0), 1.0, m, 0.0)
 
 
 # -- carried pair invariants ------------------------------------------------------
@@ -552,16 +575,16 @@ def _step_outcome(state):
 @pytest.mark.parametrize("h", [0.01, 0.005])
 def test_carried_values_change_no_bit(name, h, monkeypatch):
     """A carried state steps exactly as the same state built by hand, which
-    evaluates its pair invariants itself; the carried pairs are the pair
-    invariants of the window and the step's residuals those of its point,
-    bit for bit."""
+    evaluates its pair invariants on construction; the carried pairs are
+    the pair invariants of the window and the step's residuals those of its
+    point, bit for bit."""
     states = _fig_run_states(name, h, monkeypatch)
     assert len(states) > 200
     disc = disc_i1_sl3 if states[0].spec.realization is RealizationId.SL3 else disc_i1_sl4
     for s in states:
         assert s.pairs == tuple(disc(a, b) for a, b in zip(s.window, s.window[1:]))
         fresh = SchemeState(s.window, s.spec, s.last_j1, s.side)
-        assert fresh.pairs is None
+        assert fresh.pairs == s.pairs
         outcome = _step_outcome(s)
         assert outcome == _step_outcome(fresh)
         if isinstance(outcome[0], Point2):
