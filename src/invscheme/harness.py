@@ -12,11 +12,12 @@ Config files are flat key-value JSON:
      "x0": 1, "y0": 8, "C": 2, "a": 1, "h": 0.01, "maxSteps": 5000,
      "xWindow": [-4, 6], "methods": ["invariant", "standardFD"]}
 
-CSV columns are index,x,y for the baselines and index,x,y,J1,J2,
-meshResidual for the invariant method (blank fields for the seed rows and
-for J2 at order 2), all floats at 17 significant digits so files are
-byte-deterministic and re-parse exactly.  Timings live only in the report
-JSON.  The default output directory is --out, then the config's output
+A CSV holds a header and one line per point, every line ending in CRLF
+as in the csv module's default dialect: index,x,y for the baselines and
+index,x,y,J1,J2,meshResidual for the invariant method, whose seed rows
+read "i,x,y,,," and whose order-2 rows leave J2 blank.  Floats are written
+as %.17g, so files are byte-deterministic and re-parse exactly.  Timings
+live only in the report JSON.  The default output directory is --out, then the config's output
 field, then $INVSCHEME_OUT, then the working directory.
 """
 
@@ -32,7 +33,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .baselines import ode_rhs_library, rk45_integrate, square, standard_fd_step
 from .core import (
@@ -41,7 +42,6 @@ from .core import (
     NumericError,
     Point2,
     RealizationId,
-    StepDiagnostics,
     Trajectory,
 )
 from .exact import (
@@ -120,6 +120,8 @@ class ExperimentConfig:
 
 
 def _as_float(raw: dict, key: str) -> float:
+    if isinstance(raw[key], bool):
+        raise ConfigError(f"field {key!r} must be a number, got {raw[key]!r}")
     try:
         value = float(raw[key])
     except (TypeError, ValueError, OverflowError):
@@ -145,8 +147,9 @@ def config_from_raw(raw: dict) -> ExperimentConfig:
 
     Order-2 configs must provide C (the equation is I1 = C) plus a or
     yp0, and a with C >= 0 when they run the invariant method; order-3
-    configs must provide yp0 and ypp0.  Numbers must be finite, and h
-    must be large enough to move x0.  name must be a plain file name stem
+    configs must provide yp0 and ypp0.  Numbers must be finite and not
+    booleans, and h must be large enough to move x0.  methods must name
+    one or more methods, each once.  name must be a plain file name stem
     and output a path string.  Unknown keys are rejected so typos surface.
     """
     if not isinstance(raw, dict):
@@ -194,7 +197,9 @@ def config_from_raw(raw: dict) -> ExperimentConfig:
         not isinstance(window_raw, (list, tuple))
         or len(window_raw) != 2
         or not all(
-            isinstance(v, (int, float)) and abs(v) <= sys.float_info.max for v in window_raw
+            isinstance(v, (int, float)) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max
+            for v in window_raw
         )
         or not window_raw[0] < window_raw[1]
     ):
@@ -206,6 +211,10 @@ def config_from_raw(raw: dict) -> ExperimentConfig:
     for m in methods_raw:
         if m not in _METHODS:
             raise ConfigError(f"unknown method {m!r}; choices: {list(_METHODS)}")
+    if not methods_raw or len(set(methods_raw)) != len(methods_raw):
+        raise ConfigError(
+            f"methods must list at least one method, each once, got {methods_raw!r}"
+        )
     if order == 2 and "invariant" in methods_raw:
         if "C" not in ics or "a" not in ics:
             raise ConfigError("the order-2 invariant method needs C and a")
@@ -434,27 +443,28 @@ _DRIVERS = {
 # -- reports -------------------------------------------------------------------
 
 
-def _fmt(v: Optional[float]) -> str:
-    return "" if v is None else f"{v:.17g}"
-
-
-def _csv_rows(method: str, traj: Trajectory, seed: int):
+def _csv_lines(method: str, traj: Trajectory, seed: int) -> Iterator[str]:
+    """One method's CSV in the module docstring's format, one %-format per line."""
+    pts = traj.points
     if method != "invariant":
-        yield ("index", "x", "y")
-        for i, p in enumerate(traj.points):
-            yield (str(i), _fmt(p.x), _fmt(p.y))
+        yield "index,x,y\r\n"
+        for i, p in enumerate(pts):
+            yield "%d,%.17g,%.17g\r\n" % (i, p.x, p.y)
         return
-    yield ("index", "x", "y", "J1", "J2", "meshResidual")
-    for i, p in enumerate(traj.points):
-        diag: Optional[StepDiagnostics] = None
-        if i >= seed and i - seed < len(traj.diagnostics):
-            diag = traj.diagnostics[i - seed]
-        yield (
-            str(i), _fmt(p.x), _fmt(p.y),
-            _fmt(diag.j1 if diag else None),
-            _fmt(diag.j2 if diag else None),
-            _fmt(diag.mesh_residual if diag else None),
-        )
+    yield "index,x,y,J1,J2,meshResidual\r\n"
+    diags = traj.diagnostics
+    stepped = range(seed, seed + len(diags))
+    for i, p in enumerate(pts):
+        if i not in stepped:
+            yield "%d,%.17g,%.17g,,,\r\n" % (i, p.x, p.y)
+            continue
+        d = diags[i - seed]
+        if d.j2 is None:
+            yield "%d,%.17g,%.17g,%.17g,,%.17g\r\n" % (i, p.x, p.y, d.j1, d.mesh_residual)
+        else:
+            yield "%d,%.17g,%.17g,%.17g,%.17g,%.17g\r\n" % (
+                i, p.x, p.y, d.j1, d.j2, d.mesh_residual
+            )
 
 
 def read_trajectory_csv(path: str | Path) -> list[dict[str, float]]:
@@ -592,7 +602,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> RunR
         entry.singularity = detect_singularity(traj)
         filename = f"{cfg.name}_{method}.csv"
         with open(directory / filename, "w", newline="") as fh:
-            csv.writer(fh).writerows(_csv_rows(method, traj, seed))
+            fh.writelines(_csv_lines(method, traj, seed))
         entry.file = filename
     with open(directory / f"{cfg.name}_report.json", "w") as fh:
         json.dump(report.as_dict(), fh, indent=2, sort_keys=True)

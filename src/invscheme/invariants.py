@@ -141,9 +141,9 @@ def disc_i1_sl4(pa: Point2, pb: Point2) -> float:
 #
 # J1^2 - 1 is a ratio of O(h^4) differences of O(h^2) quantities, so feeding
 # rounded pair invariants into the textbook J1 formulas loses ~h^-2 digits.
-# The window evaluators below rebuild the difference I2 - I1n - I1n1 as a
-# single fraction in the coordinates, which keeps the relative error near
-# machine precision for the meshes the schemes use.
+# window_j1_from_pairs rebuilds the difference I2 - I1n - I1n1 as a single
+# fraction in the coordinates, which keeps the relative error near machine
+# precision for the meshes the schemes use.
 
 
 def _checked_sqrt(radicand: float, what: str) -> float:
@@ -164,73 +164,62 @@ class WindowInvariants:
     j1: float
 
 
-def _window_sl3(pa: Point2, pb: Point2, pc: Point2) -> WindowInvariants:
-    _require_domain(pa, pb, pc)
+def _chord2(p: Point2, q: Point2) -> float:
+    dx = q.x - p.x
+    dy = q.y - p.y
+    return dx * dx + dy * dy
 
-    def chord2(p: Point2, q: Point2) -> float:
-        dx = q.x - p.x
-        dy = q.y - p.y
-        return dx * dx + dy * dy
 
-    cab = chord2(pa, pb)
-    cbc = chord2(pb, pc)
-    cac = chord2(pa, pc)
-    xab, xbc, xac = pa.x * pb.x, pb.x * pc.x, pa.x * pc.x
-    xabc = xab * pc.x
-    if 0.0 in (xab, xbc, xac, xabc):
-        raise DomainViolation("window x-product underflows to zero", pb)
-    i1n = math.sqrt(cab / xab)
-    i1n1 = math.sqrt(cbc / xbc)
-    i2 = math.sqrt(cac / xac)
-    # I2^2 - I1n^2 - I1n1^2 as one fraction, then
-    # I2 - I1n - I1n1 = (that - 2 I1n I1n1) / (I2 + I1n + I1n1)
-    p_num = cac * pb.x - cab * pc.x - cbc * pa.x
-    p_val = p_num / xabc
+def window_j1_from_pairs(
+    realization: RealizationId, pa: Point2, pb: Point2, pc: Point2,
+    i1n: float, i1n1: float, i2: float,
+) -> float:
+    """J1 of the window (pa, pb, pc) from its pair invariants i1n, i1n1, i2
+    of (pa, pb), (pb, pc), (pa, pc), as disc_i1_* evaluates them (so the
+    points and pairs already lie in the invariant domain).  Raises
+    DomainViolation on an underflowing x-product or denominator product, a
+    degenerate window, a negative J1 radicand, or an overflow.
+    """
+    if realization is RealizationId.SL3:
+        # I2^2 - I1n^2 - I1n1^2 as one fraction over x_a x_b x_c
+        xabc = pa.x * pb.x * pc.x
+        if xabc == 0.0:
+            raise DomainViolation("window x-product underflows to zero", pb)
+        p_num = _chord2(pa, pc) * pb.x - _chord2(pa, pb) * pc.x - _chord2(pb, pc) * pa.x
+        p_val = p_num / xabc
+    else:
+        eab, dab = _sl4_pair(pa, pb)
+        ebc, dbc = _sl4_pair(pb, pc)
+        eac, dac = _sl4_pair(pa, pc)
+        p_num = eac * dab * dbc - eab * dac * dbc - ebc * dac * dab
+        d3 = dac * dab * dbc
+        if d3 == 0.0:
+            raise DomainViolation("window denominator product underflows to zero", pb)
+        p_val = p_num / d3
+    # I2 - I1n - I1n1 = (p_val - 2 I1n I1n1) / (I2 + I1n + I1n1)
     n_val = p_val - 2.0 * i1n * i1n1
     denom = i1n * i1n1 * (i1n + i1n1)
     if denom == 0.0 or (i2 + i1n + i1n1) == 0.0:
         raise DomainViolation("degenerate window (coincident points)", pb)
     q_val = n_val / (i2 + i1n + i1n1)
-    rad = 1.0 - 8.0 * q_val / denom
+    if realization is RealizationId.SL3:
+        rad = 1.0 - 8.0 * q_val / denom
+    else:
+        rad = 2.0 * (q_val / denom - 1.0)
     j1 = _checked_sqrt(rad, "window J1")
     _finite(i1n + i1n1 + i2 + j1, pb)
-    return WindowInvariants(i1n, i1n1, i2, j1)
-
-
-def _window_sl4(pa: Point2, pb: Point2, pc: Point2) -> WindowInvariants:
-    _require_domain(pa, pb, pc)
-    eab, dab = _sl4_pair(pa, pb)
-    ebc, dbc = _sl4_pair(pb, pc)
-    eac, dac = _sl4_pair(pa, pc)
-    for e, d, loc in ((eab, dab, pb), (ebc, dbc, pc), (eac, dac, pc)):
-        if e < 0.0 or d <= 0.0:
-            raise DomainViolation("sl4 window pair outside domain", loc)
-    i1n = math.sqrt(eab / dab)
-    i1n1 = math.sqrt(ebc / dbc)
-    i2 = math.sqrt(eac / dac)
-    p_num = eac * dab * dbc - eab * dac * dbc - ebc * dac * dab
-    d3 = dac * dab * dbc
-    if d3 == 0.0:
-        raise DomainViolation("window denominator product underflows to zero", pb)
-    p_val = p_num / d3
-    n_val = p_val - 2.0 * i1n * i1n1
-    denom = i1n * i1n1 * (i1n + i1n1)
-    if denom == 0.0 or (i2 + i1n + i1n1) == 0.0:
-        raise DomainViolation("degenerate window (coincident points)", pb)
-    q_val = n_val / (i2 + i1n + i1n1)
-    rad = 2.0 * (q_val / denom - 1.0)
-    j1 = _checked_sqrt(rad, "window J1")
-    _finite(i1n + i1n1 + i2 + j1, pb)
-    return WindowInvariants(i1n, i1n1, i2, j1)
+    return j1
 
 
 def window_invariants(
     realization: RealizationId, pa: Point2, pb: Point2, pc: Point2
 ) -> WindowInvariants:
-    """Pair invariants and J1 of one 3-point window, from coordinates."""
-    if realization is RealizationId.SL3:
-        return _window_sl3(pa, pb, pc)
-    return _window_sl4(pa, pb, pc)
+    """Pair invariants (by disc_i1_*) and J1 of one 3-point window."""
+    disc = disc_i1_sl3 if realization is RealizationId.SL3 else disc_i1_sl4
+    i1n, i1n1, i2 = disc(pa, pb), disc(pb, pc), disc(pa, pc)
+    return WindowInvariants(
+        i1n, i1n1, i2, window_j1_from_pairs(realization, pa, pb, pc, i1n, i1n1, i2)
+    )
 
 
 def window_j1(realization: RealizationId, pa: Point2, pb: Point2, pc: Point2) -> float:

@@ -33,7 +33,6 @@ import math
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Mapping, Optional, Sequence
 
 from .baselines import ode_rhs_library, rk45_integrate, square
@@ -58,7 +57,7 @@ from .exact import (
     param_of,
     point_at,
 )
-from .invariants import disc_i1_sl3, disc_i1_sl4, window_j1, window_j2
+from .invariants import disc_i1_sl3, disc_i1_sl4, window_j1, window_j1_from_pairs, window_j2
 
 # Residual level (on the pair-invariant equations) beyond which a step is
 # rejected as unreliable rather than appended to the trajectory.
@@ -82,7 +81,8 @@ class SchemeState:
     first.  bootstrap and advance_state pass them; a state built without
     them evaluates them in window order, raising the first pair's error.
     targets are the step's targets, computed once per state: the step
-    computes them and advance_state reuses them.
+    computes them and advance_state reuses them.  They are kept in a plain
+    field, since cached_property takes a lock on every access.
     """
 
     window: tuple[Point2, ...]
@@ -90,6 +90,9 @@ class SchemeState:
     last_j1: Optional[float] = None
     side: float = 0.0
     pairs: Optional[tuple[float, ...]] = field(default=None, compare=False, repr=False)
+    _targets: Optional[SchemeTargets] = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self):
         if len(self.window) != self.spec.order:
@@ -106,9 +109,11 @@ class SchemeState:
         elif len(self.pairs) != self.spec.order - 1:
             raise ValueError("pairs needs one invariant per consecutive window pair")
 
-    @cached_property
+    @property
     def targets(self) -> SchemeTargets:
-        return scheme_targets(self)
+        if self._targets is None:
+            object.__setattr__(self, "_targets", scheme_targets(self))
+        return self._targets
 
 
 @dataclass(frozen=True)
@@ -384,11 +389,11 @@ def _polish(
 ) -> tuple[float, float, float, float, int]:
     """Few analytic Newton corrections on the two pair-invariant equations.
 
-    Returns (x, y, mesh residual, scheme residual, iterations).  The
-    residuals are those of the returned point, |I(p_last, p) - k| and
-    |I(p_prev, p) - m| with the operations of _step_residuals, so they are
-    the same bits.  Raises DomainViolation when an iterate leaves the
-    invariant domain.
+    Returns (x, y, da, db, iterations), where da = I(p_last, p) and
+    db = I(p_prev, p) are the pair invariants of the returned point p.
+    _disc_grad forms them with the operations of disc_i1_*, so they are the
+    same bits.  Raises DomainViolation when an iterate leaves the invariant
+    domain.
     """
     lx, ly, px, py = p_last.x, p_last.y, p_prev.x, p_prev.y
     iters = 0
@@ -397,25 +402,17 @@ def _polish(
         db, gbx, gby = _disc_grad(realization, px, py, x, y)
         r1, r2 = da - k, db - m
         if max(abs(r1), abs(r2)) < 1e-14 * max(1.0, k):
-            return x, y, abs(r1), abs(r2), iters
+            return x, y, da, db, iters
         det = gax * gby - gay * gbx
         if det == 0.0:
-            return x, y, abs(r1), abs(r2), iters
+            return x, y, da, db, iters
         sx = (gby * r1 - gay * r2) / det
         sy = (gax * r2 - gbx * r1) / det
         x, y = x - sx, y - sy
         iters += 1
     da = _disc_grad(realization, lx, ly, x, y)[0]
     db = _disc_grad(realization, px, py, x, y)[0]
-    return x, y, abs(da - k), abs(db - m), iters
-
-
-def _step_residuals(state: SchemeState, m: float, p: Point2) -> tuple[float, float]:
-    disc = _pair_disc(state.spec.realization)
-    return (
-        abs(disc(state.window[-1], p) - state.spec.K),
-        abs(disc(state.window[-2], p) - m),
-    )
+    return x, y, da, db, iters
 
 
 def newton_fallback_step(state: SchemeState, guess: Point2) -> Point2:
@@ -488,31 +485,34 @@ def step_with_diagnostics(state: SchemeState) -> tuple[Point2, StepDiagnostics]:
 
     Each quantity is computed once.  The mesh guard and the targets read
     the state's pair invariants, and the targets stay on the state for
-    advance_state.  The fast path's polish returns the residuals of its
-    last iterate.  Only a finite residual above 5e-11 goes to the Newton
-    fallback, which evaluates them afresh; one that stays above it, or is
-    not finite, raises NewtonDivergence.
+    advance_state.  The polish returns the pair invariants da = I(p_last, p)
+    and db = I(p_prev, p) of its point p; the residuals are |da - K| and
+    |db - M|, and J1 is that of (p_prev, p_last, p) from the state's newest
+    pair invariant, da and db.  Only a finite residual above 5e-11 goes to
+    the Newton fallback, whose point gets da and db afresh; one that stays
+    above it, or is not finite, raises NewtonDivergence.
     """
     _check_mesh(state)
     spec = state.spec
-    targets = state.targets
+    realization, k, m = spec.realization, spec.K, state.targets.m
     p_prev, p_last = state.window[-2], state.window[-1]
-    x, y, mesh_res, scheme_res, iters = _fast_step(
-        spec.realization, p_prev, p_last, spec.K, targets.m, state.side
-    )
+    x, y, da, db, iters = _fast_step(realization, p_prev, p_last, k, m, state.side)
     root = Point2(x, y)
+    mesh_res, scheme_res = abs(da - k), abs(db - m)
     res = max(mesh_res, scheme_res)
     if _RESIDUAL_HALT < res < math.inf:
         root = newton_fallback_step(state, root)
-        mesh_res, scheme_res = _step_residuals(state, targets.m, root)
+        disc = _pair_disc(realization)
+        da, db = disc(p_last, root), disc(p_prev, root)
+        mesh_res, scheme_res = abs(da - k), abs(db - m)
         iters += 1
         res = max(mesh_res, scheme_res)
     if not res <= _RESIDUAL_HALT:
         raise NewtonDivergence(f"step residual {res:.3e} did not converge", root)
-    j1 = window_j1(spec.realization, p_prev, p_last, root)
+    j1 = window_j1_from_pairs(realization, p_prev, p_last, root, state.pairs[-1], da, db)
     j2 = None
     if spec.order == 3:
-        j2 = window_j2(spec.realization, state.window[-3], p_prev, p_last, root)
+        j2 = window_j2(realization, state.window[-3], p_prev, p_last, root)
     return root, StepDiagnostics(
         j1=j1,
         mesh_residual=mesh_res,

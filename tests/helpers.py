@@ -1,5 +1,7 @@
 """Test-only helpers shared by several test modules."""
 
+import csv
+import io
 import math
 
 import numpy as np
@@ -147,7 +149,7 @@ def next_hyperbola_point(
 
 
 # The textbook J1 and J2 formulas on rounded pair invariants: an oracle for
-# the window evaluators, which rebuild J1 from the coordinates instead.
+# window_j1_from_pairs, which rebuilds J1 from the coordinates instead.
 
 
 def j1_sl3(i1n: float, i1n1: float, i2n1: float) -> float:
@@ -182,3 +184,37 @@ def j2_sl4(i1n: float, i1n1: float, i1n2: float, j1n1: float, j1n2: float) -> fl
     if s == 0.0:
         raise DomainViolation("J2 needs a nonzero invariant sum")
     return 3.0 * (j1n2 - j1n1) / s + 6.0 * j1n1 * j1n1 + 3.0
+
+
+# The CSV text through the csv module, one field at a time: an oracle for
+# the harness's writer, which formats each line in one go.
+
+
+def _fmt(v):
+    return "" if v is None else f"{v:.17g}"
+
+
+def _csv_rows(method, traj, seed):
+    if method != "invariant":
+        yield ("index", "x", "y")
+        for i, p in enumerate(traj.points):
+            yield (str(i), _fmt(p.x), _fmt(p.y))
+        return
+    yield ("index", "x", "y", "J1", "J2", "meshResidual")
+    for i, p in enumerate(traj.points):
+        diag = None
+        if i >= seed and i - seed < len(traj.diagnostics):
+            diag = traj.diagnostics[i - seed]
+        yield (
+            str(i), _fmt(p.x), _fmt(p.y),
+            _fmt(diag.j1 if diag else None),
+            _fmt(diag.j2 if diag else None),
+            _fmt(diag.mesh_residual if diag else None),
+        )
+
+
+def csv_oracle_bytes(method, traj, seed) -> bytes:
+    """The bytes csv.writer writes for a method's trajectory CSV."""
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerows(_csv_rows(method, traj, seed))
+    return buf.getvalue().encode()

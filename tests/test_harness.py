@@ -1,5 +1,6 @@
 """End-to-end harness behavior: configs, drivers, reports, CSVs, CLI."""
 
+import dataclasses
 import json
 import math
 import os
@@ -11,10 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invscheme.core import Point2, Trajectory
+from invscheme.core import Point2, StepDiagnostics, Trajectory
 from invscheme.harness import (
     _CONFIG_KEYS,
+    _DRIVERS,
     ConfigError,
+    _csv_lines,
     all_singularities,
     benchmark_step_cost,
     builtin_experiments,
@@ -26,6 +29,8 @@ from invscheme.harness import (
 )
 from invscheme.invariants import disc_i1_sl3
 from invscheme.schemes import bootstrap, run_scheme
+
+from helpers import csv_oracle_bytes
 
 
 def _builtin(name):
@@ -148,6 +153,43 @@ def test_invariant_csv_is_deterministic_and_reparses(tmp_path):
     assert max(abs(d - discs[0]) for d in discs) < 1e-10
 
 
+@pytest.mark.parametrize("name", ["fig1", "fig2", "fig3", "fig4"])
+def test_csv_bytes_match_the_csv_module(tmp_path, name):
+    """Every method's CSV holds the bytes csv.writer writes for its
+    trajectory, field by field, at h = 0.01."""
+    raw = _builtin(name).as_raw()
+    raw["methods"] = ["invariant", "standardFD", "rk45"]
+    cfg = config_from_raw(raw)
+    run_experiment(cfg, out_dir=str(tmp_path))
+    for method in cfg.methods:
+        traj, seed = _DRIVERS[method](cfg)
+        written = (tmp_path / f"{name}_{method}.csv").read_bytes()
+        assert written == csv_oracle_bytes(method, traj, seed)
+
+
+def test_csv_lines_match_the_csv_module_on_special_values():
+    """Seed rows, order-2 and order-3 diagnostics, a point past the
+    diagnostics, an empty trajectory, and -0.0, subnormals, inf and nan
+    format as csv.writer formats them."""
+    odd = [-0.0, 5e-324, math.inf, -math.inf, math.nan, 1.0 / 3.0, 1e300, 2.0]
+    points = [Point2(odd[i], odd[-1 - i]) for i in range(len(odd))]
+    diags = [
+        StepDiagnostics(j1=1e-310, mesh_residual=-0.0, scheme_residual=0.0, iterations=1),
+        StepDiagnostics(j1=math.nan, mesh_residual=math.inf, scheme_residual=0.0,
+                        iterations=2, j2=-0.0),
+        StepDiagnostics(j1=0.1, mesh_residual=3e-17, scheme_residual=0.0,
+                        iterations=0, j2=-math.inf),
+    ]
+    traj = Trajectory(points=points, diagnostics=diags)
+    empty = Trajectory(points=[])
+    for t, method, seed in (
+        (traj, "invariant", 3), (traj, "invariant", 0), (traj, "rk45", 1),
+        (traj, "standardFD", 2), (empty, "invariant", 3),
+    ):
+        text = "".join(_csv_lines(method, t, seed))
+        assert text.encode() == csv_oracle_bytes(method, t, seed)
+
+
 def test_failing_methods_become_report_entries(tmp_path):
     raw = {
         "name": "doomed", "realization": "sl3", "order": "Second",
@@ -164,9 +206,10 @@ def test_failing_methods_become_report_entries(tmp_path):
 
 
 def test_empty_method_list_yields_empty_report(tmp_path):
-    raw = _builtin("fig1").as_raw()
-    raw["methods"] = []
-    report = run_experiment(config_from_raw(raw), out_dir=str(tmp_path))
+    """config_from_raw rejects an empty method list, but a config built in
+    code may still carry one; run_experiment then writes an empty report."""
+    cfg = dataclasses.replace(_builtin("fig1"), methods=())
+    report = run_experiment(cfg, out_dir=str(tmp_path))
     assert report.entries == {}
     assert not report.all_failed
     payload = json.loads((tmp_path / "fig1_report.json").read_text())
@@ -310,10 +353,16 @@ _FIG1_RAW = {
         {"C": None, "a": None, "yp0": 0.5},
         {"xWindow": [0.0, math.inf]},
         {"xWindow": [0, 10**400]},
+        {"h": True},
+        {"x0": True},
+        {"xWindow": [False, True]},
+        {"methods": []},
+        {"methods": ["rk45", "rk45"]},
     ],
     ids=[
         "h-text", "C-negative", "h-tiny", "y0-infinite", "x0-nan", "invariant-without-a",
         "order2-without-C", "xWindow-infinite", "xWindow-huge-int",
+        "h-bool", "x0-bool", "xWindow-bool", "methods-empty", "methods-repeated",
     ],
 )
 def test_cli_run_reports_bad_values_as_config_errors(tmp_path, capsys, change):
@@ -324,6 +373,13 @@ def test_cli_run_reports_bad_values_as_config_errors(tmp_path, capsys, change):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "Traceback" not in err
     assert next(iter(change)) in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_run_rejects_an_empty_methods_flag(tmp_path, capsys):
+    assert cli_main(["run", "fig1", "--methods", "", "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "methods" in err
     assert not (tmp_path / "out").exists()
 
 

@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -588,7 +589,8 @@ def test_carried_values_change_no_bit(name, h, monkeypatch):
         outcome = _step_outcome(s)
         assert outcome == _step_outcome(fresh)
         if isinstance(outcome[0], Point2):
-            p, _, _, mesh_res, scheme_res, _ = outcome
+            p, j1, _, mesh_res, scheme_res, _ = outcome
+            assert j1 == window_j1(s.spec.realization, s.window[-2], s.window[-1], p)
             assert mesh_res == abs(disc(s.window[-1], p) - s.spec.K)
             assert scheme_res == abs(disc(s.window[-2], p) - scheme_targets(s).m)
 
@@ -613,6 +615,33 @@ def test_step_evaluates_one_pair_invariant(name, monkeypatch):
         p, _ = step_with_diagnostics(state)
         state = advance_state(state, p)
         assert calls == [(state.window[-2], p)]
+
+
+@pytest.mark.parametrize("name", ["fig1", "fig2", "fig3", "fig4"])
+def test_step_reuses_pairs_and_targets(name, monkeypatch):
+    """One step plus advance_state takes J1 from the pair invariants it
+    holds: no window_j1 call, one window_j2 call at order 3 only, and one
+    targets computation per state."""
+    cfg = next(c for c in builtin_experiments() if c.name == name)
+    state = bootstrap(cfg.realization, cfg.order, cfg.ics, cfg.h, f=cfg.f)
+    calls = Counter()
+    for fn in ("window_j1", "window_j2", "scheme_targets"):
+        original = getattr(schemes, fn)
+
+        def counting(*args, fn=fn, original=original):
+            calls[fn] += 1
+            return original(*args)
+
+        monkeypatch.setattr(schemes, fn, counting)
+    for _ in range(3):
+        calls.clear()
+        p, _ = step_with_diagnostics(state)
+        nxt = advance_state(state, p)
+        assert state.targets is state.targets
+        assert calls["window_j1"] == 0
+        assert calls["window_j2"] == (1 if cfg.order == 3 else 0)
+        assert calls["scheme_targets"] == 1
+        state = nxt
 
 
 # -- bootstrap -------------------------------------------------------------------
