@@ -175,7 +175,8 @@ def ode_rhs_library(
             return cont_i1(JetPoint(x, yp, ypp)) - C
 
         def rhs2(x: float, s: Sequence[float]) -> list[float]:
-            return [s[1], solved(x, s[1])]
+            yp = s[1]
+            return [yp, solved(x, yp)]
 
         return OdeProblem(residual2, rhs2)
 
@@ -297,6 +298,171 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 _BLOWUP = 1e8
 
+# Right-hand-side failures that reject a trial step instead of raising.
+_STAGE_ERRORS = (NumericError, ValueError, OverflowError, ZeroDivisionError)
+
+_C2, _C3, _C4, _C5 = _DP_C[1:5]
+(
+    (_A21,),
+    (_A31, _A32),
+    (_A41, _A42, _A43),
+    (_A51, _A52, _A53, _A54),
+    (_A61, _A62, _A63, _A64, _A65),
+    (_A71, _A72, _A73, _A74, _A75, _A76),
+) = _DP_A[1:]
+_B1, _B2, _B3, _B4, _B5, _B6, _B7 = _DP_B5
+_E1, _E2, _E3, _E4, _E5, _E6, _E7 = _DP_ERR
+
+
+def _trial(
+    rhs: Callable[[float, Sequence[float]], list[float]],
+    x: float,
+    y: list[float],
+    h: float,
+    rtol: float,
+    atol: float,
+) -> Optional[tuple[list[float], float]]:
+    """One Dormand-Prince trial step of size h from (x, y).
+
+    Returns the fifth-order state and the RMS error norm scaled by
+    atol + rtol * max(|y|, |y5|), or None when a stage raises one of
+    _STAGE_ERRORS or the new state is not finite.
+    """
+    n = len(y)
+    k: list[list[float]] = []
+    try:
+        for i in range(7):
+            xi = x + _DP_C[i] * h
+            yi = y[:]
+            ai = _DP_A[i]
+            for j, aij in enumerate(ai):
+                if aij != 0.0:
+                    kj = k[j]
+                    for m in range(n):
+                        yi[m] += h * aij * kj[m]
+            k.append(rhs(xi, yi))
+    except _STAGE_ERRORS:
+        return None
+    y5 = y[:]
+    err2 = 0.0
+    for m in range(n):
+        acc5 = 0.0
+        errm = 0.0
+        for i in range(7):
+            kim = k[i][m]
+            acc5 += _DP_B5[i] * kim
+            errm += _DP_ERR[i] * kim
+        y5[m] += h * acc5
+        if not math.isfinite(y5[m]):
+            return None
+        sc = atol + rtol * max(abs(y[m]), abs(y5[m]))
+        e = h * errm / sc
+        err2 += e * e
+    return y5, math.sqrt(err2 / n)
+
+
+def _trial2(
+    rhs: Callable[[float, Sequence[float]], list[float]],
+    x: float,
+    y: list[float],
+    h: float,
+    rtol: float,
+    atol: float,
+) -> Optional[tuple[list[float], float]]:
+    """_trial for a two-component state, unrolled into float locals.
+
+    It performs _trial's floating-point operations in _trial's order, so
+    both return the same bits: h * a_ij is formed before it meets k_j,
+    stage sums run left to right from y and skip the zero a_72, and the
+    weighted sums start at 0.0 and keep their zero-weight terms.  u_i and
+    v_i are components 0 and 1 of stage i's derivative.
+    """
+    y0 = y[0]
+    y1 = y[1]
+    try:
+        k = rhs(x + 0.0 * h, [y0, y1])
+        u1 = k[0]
+        v1 = k[1]
+        h21 = h * _A21
+        k = rhs(x + _C2 * h, [y0 + h21 * u1, y1 + h21 * v1])
+        u2 = k[0]
+        v2 = k[1]
+        h31 = h * _A31
+        h32 = h * _A32
+        k = rhs(x + _C3 * h, [y0 + h31 * u1 + h32 * u2, y1 + h31 * v1 + h32 * v2])
+        u3 = k[0]
+        v3 = k[1]
+        h41 = h * _A41
+        h42 = h * _A42
+        h43 = h * _A43
+        k = rhs(
+            x + _C4 * h,
+            [y0 + h41 * u1 + h42 * u2 + h43 * u3, y1 + h41 * v1 + h42 * v2 + h43 * v3],
+        )
+        u4 = k[0]
+        v4 = k[1]
+        h51 = h * _A51
+        h52 = h * _A52
+        h53 = h * _A53
+        h54 = h * _A54
+        k = rhs(
+            x + _C5 * h,
+            [
+                y0 + h51 * u1 + h52 * u2 + h53 * u3 + h54 * u4,
+                y1 + h51 * v1 + h52 * v2 + h53 * v3 + h54 * v4,
+            ],
+        )
+        u5 = k[0]
+        v5 = k[1]
+        h61 = h * _A61
+        h62 = h * _A62
+        h63 = h * _A63
+        h64 = h * _A64
+        h65 = h * _A65
+        x67 = x + 1.0 * h
+        k = rhs(
+            x67,
+            [
+                y0 + h61 * u1 + h62 * u2 + h63 * u3 + h64 * u4 + h65 * u5,
+                y1 + h61 * v1 + h62 * v2 + h63 * v3 + h64 * v4 + h65 * v5,
+            ],
+        )
+        u6 = k[0]
+        v6 = k[1]
+        h71 = h * _A71
+        h73 = h * _A73
+        h74 = h * _A74
+        h75 = h * _A75
+        h76 = h * _A76
+        k = rhs(
+            x67,
+            [
+                y0 + h71 * u1 + h73 * u3 + h74 * u4 + h75 * u5 + h76 * u6,
+                y1 + h71 * v1 + h73 * v3 + h74 * v4 + h75 * v5 + h76 * v6,
+            ],
+        )
+    except _STAGE_ERRORS:
+        return None
+    u7 = k[0]
+    v7 = k[1]
+    y5_0 = y0 + h * (
+        0.0 + _B1 * u1 + _B2 * u2 + _B3 * u3 + _B4 * u4 + _B5 * u5 + _B6 * u6 + _B7 * u7
+    )
+    if not math.isfinite(y5_0):
+        return None
+    e0 = h * (
+        0.0 + _E1 * u1 + _E2 * u2 + _E3 * u3 + _E4 * u4 + _E5 * u5 + _E6 * u6 + _E7 * u7
+    ) / (atol + rtol * max(abs(y0), abs(y5_0)))
+    y5_1 = y1 + h * (
+        0.0 + _B1 * v1 + _B2 * v2 + _B3 * v3 + _B4 * v4 + _B5 * v5 + _B6 * v6 + _B7 * v7
+    )
+    if not math.isfinite(y5_1):
+        return None
+    e1 = h * (
+        0.0 + _E1 * v1 + _E2 * v2 + _E3 * v3 + _E4 * v4 + _E5 * v5 + _E6 * v6 + _E7 * v7
+    ) / (atol + rtol * max(abs(y1), abs(y5_1)))
+    return [y5_0, y5_1], math.sqrt((0.0 + e0 * e0 + e1 * e1) / 2)
+
 
 @dataclass
 class RkResult:
@@ -330,6 +496,11 @@ def rk45_integrate(
     trajectory-level detectors look for.  Right-hand-side domain failures
     shrink the step like a rejected one, so blow-ups end in one of those
     two statuses instead of raising.
+
+    One step-size controller serves every state size.  Two-component
+    states, which every order-2 system has, take their trial steps from
+    _trial2, a scalar unrolling that returns the same bits as the generic
+    _trial that serves the rest.
     """
     res = RkResult(xs=[x0], states=[list(state0)])
     if x_end == x0:
@@ -337,45 +508,12 @@ def rk45_integrate(
     direction = 1.0 if x_end > x0 else -1.0
     x = x0
     y = list(state0)
-    n = len(state0)
+    trial = _trial2 if len(state0) == 2 else _trial
     h = direction * min(abs(x_end - x0) * 1e-2, 0.1)
-
-    def try_stages(h: float) -> Optional[tuple[list[float], float]]:
-        k: list[list[float]] = []
-        try:
-            for i in range(7):
-                xi = x + _DP_C[i] * h
-                yi = y[:]
-                ai = _DP_A[i]
-                for j, aij in enumerate(ai):
-                    if aij != 0.0:
-                        kj = k[j]
-                        for m in range(n):
-                            yi[m] += h * aij * kj[m]
-                k.append(rhs(xi, yi))
-        except (NumericError, ValueError, OverflowError, ZeroDivisionError):
-            return None
-        y5 = y[:]
-        err2 = 0.0
-        for m in range(n):
-            acc5 = 0.0
-            errm = 0.0
-            for i in range(7):
-                kim = k[i][m]
-                acc5 += _DP_B5[i] * kim
-                errm += _DP_ERR[i] * kim
-            y5[m] += h * acc5
-            if not math.isfinite(y5[m]):
-                return None
-            sc = atol + rtol * max(abs(y[m]), abs(y5[m]))
-            e = h * errm / sc
-            err2 += e * e
-        return y5, math.sqrt(err2 / n)
-
     for _ in range(max_steps):
         if (x + h - x_end) * direction > 0.0:
             h = x_end - x
-        attempt = try_stages(h)
+        attempt = trial(rhs, x, y, h, rtol, atol)
         if attempt is None:
             err_norm = math.inf
         else:

@@ -148,9 +148,10 @@ def config_from_raw(raw: dict) -> ExperimentConfig:
     Order-2 configs must provide C (the equation is I1 = C) plus a or
     yp0, and a with C >= 0 when they run the invariant method; order-3
     configs must provide yp0 and ypp0.  Numbers must be finite and not
-    booleans, and h must be large enough to move x0.  methods must name
-    one or more methods, each once.  name must be a plain file name stem
-    and output a path string.  Unknown keys are rejected so typos surface.
+    booleans, h must be large enough to move x0, and x0 must lie inside
+    xWindow.  methods must name one or more methods, each once.  name must
+    be a plain file name stem and output a path string.  Unknown keys are
+    rejected so typos surface.
     """
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
@@ -204,6 +205,8 @@ def config_from_raw(raw: dict) -> ExperimentConfig:
         or not window_raw[0] < window_raw[1]
     ):
         raise ConfigError("xWindow must be [xmin, xmax] of finite numbers with xmin < xmax")
+    if not window_raw[0] <= ics["x0"] <= window_raw[1]:
+        raise ConfigError(f"x0 = {ics['x0']!r} must lie inside xWindow {list(window_raw)!r}")
     default_methods = ["invariant", "standardFD"] + (["rk45"] if order == 3 else [])
     methods_raw = raw.get("methods", default_methods)
     if not isinstance(methods_raw, (list, tuple)):

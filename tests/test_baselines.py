@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invscheme import (
     DomainViolation,
@@ -17,7 +19,10 @@ from invscheme import (
     ode_rhs_library,
     rk45_integrate,
 )
+from invscheme import baselines
 from invscheme.baselines import (
+    _trial,
+    _trial2,
     square,
     standard_fd_step,
     stencil_d1_4pt,
@@ -168,6 +173,92 @@ def test_rk45_max_steps():
     sys_exp = lambda x, s: [s[0]]
     result = rk45_integrate(sys_exp, 0.0, [1.0], 1.0, rtol=1e-10, atol=1e-12, max_steps=3)
     assert result.status == "maxSteps"
+
+
+def _faulty(rhs, fault):
+    """rhs with a call log and a fault at one stage of a trial, or none.
+
+    ("raise", i) raises DomainViolation on the i-th call; ("inf", i, m)
+    puts inf into component m of the i-th result; ("zero", i) returns
+    [0.0, 0.0] from it; ("extra", i) appends a third entry to it.
+    """
+    calls = []
+
+    def wrapped(x, s):
+        calls.append((x, list(s)))
+        out = rhs(x, s)
+        if fault is not None and fault[1] == len(calls) - 1:
+            if fault[0] == "raise":
+                raise DomainViolation("stage fault", x)
+            out = list(out)
+            if fault[0] == "inf":
+                out[fault[2]] = math.inf
+            elif fault[0] == "zero":
+                out = [0.0, 0.0]
+            else:
+                out.append(1.0)
+        return out
+
+    return wrapped, calls
+
+
+_STAGE_FAULTS = [None] + [
+    fault
+    for i in range(7)
+    for fault in (("raise", i), ("inf", i, 0), ("inf", i, 1), ("zero", i), ("extra", i))
+]
+
+_TWO_COMPONENT_RHS = {
+    "sl3": lambda c: ode_rhs_library(RealizationId.SL3, 2, C=c).rhs,
+    "sl4": lambda c: ode_rhs_library(RealizationId.SL4, 2, C=c).rhs,
+    "oscillator": lambda c: lambda x, s: [s[1], -s[0]],
+    # Constant, so that a stage fault stays in its stage.  Its -0.0, with
+    # one stage's +0.0 from a "zero" fault, makes every term of a weighted
+    # sum -0.0, so a sum that drops its leading 0.0 shows in the sign.
+    "still": lambda c: lambda x, s: [-0.0, -0.0],
+}
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(
+    c=st.floats(0.1, 6.0),
+    x=st.floats(1e-3, 10.0),
+    y=st.tuples(st.floats(-20.0, 20.0) | st.just(-0.0), st.floats(-6.0, 6.0) | st.just(-0.0)),
+    h_sign=st.sampled_from([1.0, -1.0]),
+    h_exp=st.floats(-7.0, 0.3),
+    tols=st.sampled_from([(1e-8, 1e-10), (1e-12, 1e-13)]),
+)
+def test_trial2_returns_the_bits_of_the_generic_trial(c, x, y, h_sign, h_exp, tols):
+    """For every system and every stage fault, the unrolled two-component
+    trial step calls rhs at the same stage points and returns the same
+    bits as the generic one.  repr tells signed zeros apart and lets NaN
+    equal NaN."""
+    h = h_sign * 10.0**h_exp
+    rtol, atol = tols
+    for system, make in _TWO_COMPONENT_RHS.items():
+        for fault in _STAGE_FAULTS:
+            outcomes = []
+            for trial in (_trial, _trial2):
+                rhs, calls = _faulty(make(c), fault)
+                outcomes.append(repr((trial(rhs, x, list(y), h, rtol, atol), calls)))
+            assert outcomes[0] == outcomes[1], (system, fault)
+
+
+@pytest.mark.parametrize(
+    "state0, used",
+    [([1.0], "_trial"), ([1.0, 0.0], "_trial2"), ([1.0, 0.0, 0.5], "_trial")],
+)
+def test_rk45_picks_the_trial_by_state_size(monkeypatch, state0, used):
+    """Two-component states take every trial step from _trial2, others from _trial."""
+    calls = []
+    for name in ("_trial", "_trial2"):
+        fn = getattr(baselines, name)
+        monkeypatch.setattr(baselines, name, lambda *a, _n=name, _f=fn: calls.append(_n) or _f(*a))
+    n = len(state0)
+    result = rk45_integrate(lambda x, s: [s[(m + 1) % n] for m in range(n)], 0.0, state0, 1.0)
+    assert result.status == "ok"
+    assert set(calls) == {used}
+    assert len(calls) >= len(result.xs) - 1 > 0
 
 
 # -- ODE library ---------------------------------------------------------------

@@ -358,11 +358,13 @@ _FIG1_RAW = {
         {"xWindow": [False, True]},
         {"methods": []},
         {"methods": ["rk45", "rk45"]},
+        {"x0": 2.5, "xWindow": [0.0, 1.5], "methods": ["invariant", "standardFD", "rk45"]},
     ],
     ids=[
         "h-text", "C-negative", "h-tiny", "y0-infinite", "x0-nan", "invariant-without-a",
         "order2-without-C", "xWindow-infinite", "xWindow-huge-int",
         "h-bool", "x0-bool", "xWindow-bool", "methods-empty", "methods-repeated",
+        "x0-outside-xWindow",
     ],
 )
 def test_cli_run_reports_bad_values_as_config_errors(tmp_path, capsys, change):

@@ -9,6 +9,7 @@ import math
 import random
 
 import pytest
+import sympy as sp
 
 from invscheme import (
     DomainViolation,
@@ -122,6 +123,84 @@ def test_cont_i2_sl4_fig_sized_jet():
     jet = JetPoint(x=2.0, yp=-1.5, ypp=-1.5, yppp=yppp)
     i1 = cont_i1_sl4(jet)
     assert abs(cont_i2_sl4(jet) - i1 * i1) < 1e-10
+
+
+# -- symmetry of the continuous invariants ------------------------------------------
+
+_X, _Y = sp.symbols("x y", positive=True)
+_U, _V, _W = sp.symbols("u v w", real=True)  # first, second and third derivative of y
+
+
+def _total_derivative(f):
+    """D_x on functions of (x, y, u, v), where u = y' and v = y''."""
+    return (
+        sp.diff(f, _X) + _U * sp.diff(f, _Y) + _V * sp.diff(f, _U) + _W * sp.diff(f, _V)
+    )
+
+
+def _prolonged(xi, eta, f):
+    """Third prolongation of xi d/dx + eta d/dy applied to f(x, y, u, v, w)."""
+    eta1 = _total_derivative(eta) - _U * _total_derivative(xi)
+    eta2 = _total_derivative(eta1) - _V * _total_derivative(xi)
+    eta3 = _total_derivative(eta2) - _W * _total_derivative(xi)
+    return (
+        xi * sp.diff(f, _X) + eta * sp.diff(f, _Y) + eta1 * sp.diff(f, _U)
+        + eta2 * sp.diff(f, _V) + eta3 * sp.diff(f, _W)
+    )
+
+
+def _symbolic_invariants(realization):
+    """Generators (xi, eta), I1 and I2 as written in the docstrings of
+    group_action and invariants."""
+    if realization is RealizationId.SL3:
+        d = 1 + _U**2
+        return (
+            [(0, 1), (_X, _Y), (2 * _X * _Y, _Y**2 - _X**2)],
+            (_U * d - _X * _V) / d ** sp.Rational(3, 2),
+            (3 * _X**2 * _U * _V**2 - _X**2 * _W * d) / d**3,
+        )
+    e = _U**2 - 1
+    return (
+        [(0, 1), (_X, _Y), (2 * _X * _Y, _X**2 + _Y**2)],
+        (_X * _V + _U * e) / e ** sp.Rational(3, 2),
+        (
+            2 * _X**2 * (_U + 1) * _W
+            + 3 * (
+                (_U - 1) * (_U + 1) ** 2 * (3 * _U**2 - 1)
+                + 4 * _X * _U * (_U + 1) * _V
+                - 2 * _X**2 * _V**2
+            )
+        ) / ((_U - 1) ** 2 * (_U + 1) ** 3),
+    )
+
+
+@pytest.mark.parametrize(
+    "realization, cont_i1, cont_i2",
+    [
+        (RealizationId.SL3, cont_i1_sl3, cont_i2_sl3),
+        (RealizationId.SL4, cont_i1_sl4, cont_i2_sl4),
+    ],
+)
+def test_prolonged_generators_annihilate_the_invariants(realization, cont_i1, cont_i2):
+    """Every generator, prolonged to third order, annihilates I1 and I2,
+    and the symbolic I1 and I2 are the ones cont_i1_* and cont_i2_* compute."""
+    gens, i1, i2 = _symbolic_invariants(realization)
+    for xi, eta in gens:
+        for inv in (i1, i2):
+            assert sp.simplify(_prolonged(sp.sympify(xi), sp.sympify(eta), inv)) == 0
+    f1 = sp.lambdify((_X, _U, _V), i1, "math")
+    f2 = sp.lambdify((_X, _U, _V, _W), i2, "math")
+    rng = random.Random(5)
+    for _ in range(50):
+        x = rng.uniform(0.2, 3.0)
+        if realization is RealizationId.SL3:
+            u = rng.uniform(-3.0, 3.0)
+        else:
+            u = rng.choice((-1.0, 1.0)) * rng.uniform(1.05, 3.0)
+        v, w = rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)
+        jet = JetPoint(x, u, v, w)
+        assert cont_i1(jet) == pytest.approx(f1(x, u, v), rel=1e-12, abs=1e-12)
+        assert cont_i2(jet) == pytest.approx(f2(x, u, v, w), rel=1e-12, abs=1e-12)
 
 
 # -- discrete invariants -------------------------------------------------------
