@@ -111,9 +111,10 @@ class SchemeSpec:
 class StepDiagnostics:
     """Per-step record emitted by the invariant stepper.
 
-    j1/j2 are the discrete invariant combinations evaluated on the window
-    that produced the step; mesh_residual and scheme_residual are the
-    residuals of the two equations the step solver enforced.
+    j1 is the J1 of (p_prev, p_last, p), the last two window points and
+    the step's point p; j2 (order 3 only) is the J2 of the 4-point window
+    that ends in p.  mesh_residual and scheme_residual are the residuals
+    of the two equations the step solver enforced.
     """
 
     j1: float

@@ -150,19 +150,24 @@ def param_of(sol: CircleSolution | HyperbolaSolution, p: Point2) -> float:
     return sol.t_of(p)
 
 
-def point_at(sol: CircleSolution | HyperbolaSolution, t: float) -> Point2:
-    """Point of the conic at a parameter value (left branch for hyperbolas)."""
-    return sol.point(t)
+def point_at(sol: CircleSolution | HyperbolaSolution, t: float, branch: int = -1) -> Point2:
+    """Point of the conic at a parameter value; branch picks a hyperbola's
+    left (-1) or right (+1) branch, and circles ignore it."""
+    if isinstance(sol, CircleSolution):
+        return sol.point(t)
+    return sol.point(t, branch)
 
 
 def next_chord_point(
-    sol: CircleSolution | HyperbolaSolution, t: float, chord: float, direction: float
+    sol: CircleSolution | HyperbolaSolution, t: float, chord: float, direction: float,
+    branch: int = -1,
 ) -> float:
     """Parameter one Euclidean chord step away along the conic.
 
-    direction is +-1 for increasing or decreasing parameter.  Circles have
-    the closed form dtheta = 2 asin(chord / 2r); hyperbolas bisect on the
-    parameter, where chord length grows monotonically.
+    direction is +-1 for increasing or decreasing parameter, and branch
+    the hyperbola branch walked, as in point_at.  Circles have the closed
+    form dtheta = 2 asin(chord / 2r); hyperbolas bisect on the parameter,
+    where chord length grows monotonically.
     """
     if not (0.0 < chord and math.isfinite(chord)):
         raise DomainViolation("chord must be positive", chord)
@@ -171,10 +176,10 @@ def next_chord_point(
         if half > 1.0:
             raise DomainViolation("chord longer than the diameter", chord)
         return t + direction * 2.0 * math.asin(half)
-    pa = sol.point(t)
+    pa = sol.point(t, branch)
 
     def gap(dt: float) -> float:
-        pb = sol.point(t + direction * dt)
+        pb = sol.point(t + direction * dt, branch)
         return math.hypot(pb.x - pa.x, pb.y - pa.y) - chord
 
     hi = 1e-8

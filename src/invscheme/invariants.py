@@ -117,19 +117,14 @@ def disc_i1_sl3(pa: Point2, pb: Point2) -> float:
     return _finite(math.sqrt((dx * dx + dy * dy) / xab), pb)
 
 
-def _sl4_pair(pa: Point2, pb: Point2) -> tuple[float, float]:
-    """(e, den) with e = (dy)^2-(dx)^2 and den = 4 x_a x_b - e."""
-    dx = pb.x - pa.x
-    dy = pb.y - pa.y
-    e = dy * dy - dx * dx
-    return e, 4.0 * pa.x * pb.x - e
-
-
 def disc_i1_sl4(pa: Point2, pb: Point2) -> float:
     """Three-point sl4 difference invariant on one pair:
     sqrt(((dy)^2 - (dx)^2) / (4 x_a x_b - ((dy)^2 - (dx)^2)))."""
     _require_domain(pa, pb)
-    e, den = _sl4_pair(pa, pb)
+    dx = pb.x - pa.x
+    dy = pb.y - pa.y
+    e = dy * dy - dx * dx
+    den = 4.0 * pa.x * pb.x - e
     if e < 0.0:
         raise DomainViolation("sl4 pair needs (dy)^2 >= (dx)^2", pb)
     if den <= 0.0:
@@ -164,12 +159,6 @@ class WindowInvariants:
     j1: float
 
 
-def _chord2(p: Point2, q: Point2) -> float:
-    dx = q.x - p.x
-    dy = q.y - p.y
-    return dx * dx + dy * dy
-
-
 def window_j1_from_pairs(
     realization: RealizationId, pa: Point2, pb: Point2, pc: Point2,
     i1n: float, i1n1: float, i2: float,
@@ -180,17 +169,29 @@ def window_j1_from_pairs(
     DomainViolation on an underflowing x-product or denominator product, a
     degenerate window, a negative J1 radicand, or an overflow.
     """
+    ax, ay, bx, by, cx, cy = pa.x, pa.y, pb.x, pb.y, pc.x, pc.y
+    dx_ab, dy_ab = bx - ax, by - ay
+    dx_bc, dy_bc = cx - bx, cy - by
+    dx_ac, dy_ac = cx - ax, cy - ay
     if realization is RealizationId.SL3:
         # I2^2 - I1n^2 - I1n1^2 as one fraction over x_a x_b x_c
-        xabc = pa.x * pb.x * pc.x
+        xabc = ax * bx * cx
         if xabc == 0.0:
             raise DomainViolation("window x-product underflows to zero", pb)
-        p_num = _chord2(pa, pc) * pb.x - _chord2(pa, pb) * pc.x - _chord2(pb, pc) * pa.x
+        p_num = (
+            (dx_ac * dx_ac + dy_ac * dy_ac) * bx
+            - (dx_ab * dx_ab + dy_ab * dy_ab) * cx
+            - (dx_bc * dx_bc + dy_bc * dy_bc) * ax
+        )
         p_val = p_num / xabc
     else:
-        eab, dab = _sl4_pair(pa, pb)
-        ebc, dbc = _sl4_pair(pb, pc)
-        eac, dac = _sl4_pair(pa, pc)
+        # the same over the sl4 denominators d = 4 x_a x_b - e, e = dy^2 - dx^2
+        eab = dy_ab * dy_ab - dx_ab * dx_ab
+        ebc = dy_bc * dy_bc - dx_bc * dx_bc
+        eac = dy_ac * dy_ac - dx_ac * dx_ac
+        dab = 4.0 * ax * bx - eab
+        dbc = 4.0 * bx * cx - ebc
+        dac = 4.0 * ax * cx - eac
         p_num = eac * dab * dbc - eab * dac * dbc - ebc * dac * dab
         d3 = dac * dab * dbc
         if d3 == 0.0:

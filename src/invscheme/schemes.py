@@ -57,6 +57,7 @@ from .exact import (
     param_of,
     point_at,
 )
+# Nothing here calls window_j2; bench/tracing.py counts its calls on this module.
 from .invariants import disc_i1_sl3, disc_i1_sl4, window_j1, window_j1_from_pairs, window_j2
 
 # Residual level (on the pair-invariant equations) beyond which a step is
@@ -68,21 +69,26 @@ _RESIDUAL_HALT = 5e-11
 _MESH_GUARD = 1e-5
 
 
-@dataclass(frozen=True)
+@dataclass
 class SchemeState:
     """Stepper state: the sliding window plus continuation bookkeeping.
 
     window holds the points a step needs (2 for order 2, 3 for order 3),
-    oldest first.  last_j1 is the three-point invariant of the current
-    window (order 3 only).  side is the turning side carried for root
-    selection: +1, -1, or 0 when not yet established.
+    oldest first.  last_j1 is the update rule's J1 target (order 3 only):
+    bootstrap starts it at the window's J1, tau, and advance_state carries
+    the previous step's targets.j1_next.  side is the turning side carried
+    for root selection: +1, -1, or 0 when not yet established.
 
     pairs holds the pair invariants of consecutive window points, oldest
-    first.  bootstrap and advance_state pass them; a state built without
-    them evaluates them in window order, raising the first pair's error.
-    targets are the step's targets, computed once per state: the step
-    computes them and advance_state reuses them.  They are kept in a plain
-    field, since cached_property takes a lock on every access.
+    first, and j1_window the window's measured J1 (order 3 only).
+    bootstrap and advance_state pass them; a state built without them
+    evaluates them in window order, raising the first pair's error.
+    targets are computed once per state, and the step leaves its point,
+    that point's pair invariant and J1 for advance_state, in plain fields,
+    since cached_property takes a lock on every access.  A state is not
+    frozen, because a frozen dataclass sets each field through
+    object.__setattr__ and a run builds one state per step; treat it as
+    read-only, since the cached fields follow from the window.
     """
 
     window: tuple[Point2, ...]
@@ -90,9 +96,11 @@ class SchemeState:
     last_j1: Optional[float] = None
     side: float = 0.0
     pairs: Optional[tuple[float, ...]] = field(default=None, compare=False, repr=False)
+    j1_window: Optional[float] = field(default=None, compare=False, repr=False)
     _targets: Optional[SchemeTargets] = field(
         default=None, init=False, compare=False, repr=False
     )
+    _step: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.window) != self.spec.order:
@@ -105,14 +113,16 @@ class SchemeState:
         if self.pairs is None:
             disc = _pair_disc(self.spec.realization)
             pairs = tuple(disc(pa, pb) for pa, pb in zip(self.window, self.window[1:]))
-            object.__setattr__(self, "pairs", pairs)
+            self.pairs = pairs
         elif len(self.pairs) != self.spec.order - 1:
             raise ValueError("pairs needs one invariant per consecutive window pair")
+        if self.spec.order == 3 and self.j1_window is None:
+            self.j1_window = window_j1(self.spec.realization, *self.window)
 
     @property
     def targets(self) -> SchemeTargets:
         if self._targets is None:
-            object.__setattr__(self, "_targets", scheme_targets(self))
+            self._targets = scheme_targets(self)
         return self._targets
 
 
@@ -147,22 +157,6 @@ class ConicCoeffs:
 
 def _pair_disc(realization: RealizationId) -> Callable[[Point2, Point2], float]:
     return disc_i1_sl3 if realization is RealizationId.SL3 else disc_i1_sl4
-
-
-def _conic(
-    realization: RealizationId, rx: float, ry: float, t: float
-) -> tuple[float, float, float, float, float, float]:
-    """(qxx, qxy, qyy, qx, qy, q0) of the level set {p : pair invariant of
-    ((rx, ry), p) = t} as a conic.
-
-    For sl3 the pair invariant squared is |p - (rx, ry)|^2 / (rx * p.x), so
-    the level set is a circle-type conic; for sl4 it is e / (4 rx p.x - e)
-    with e = dy^2 - dx^2, a rectangular hyperbola-type conic.
-    """
-    if realization is RealizationId.SL3:
-        return 1.0, 0.0, 1.0, -(2.0 + t * t) * rx, -2.0 * ry, rx * rx + ry * ry
-    ph = t * t / (1.0 + t * t)
-    return -1.0, 0.0, 1.0, (2.0 - 4.0 * ph) * rx, -2.0 * ry, ry * ry - rx * rx
 
 
 @dataclass(frozen=True)
@@ -235,12 +229,22 @@ def _line(
     realization: RealizationId, p_prev: Point2, p_last: Point2, k: float, m: float
 ) -> tuple[tuple[float, float, float], tuple[float, float, float, float, float, float]]:
     """Unit-normal line (a, b, d) of the step and its mesh conic; see
-    reduce_to_line_conic."""
-    mesh = _conic(realization, p_last.x, p_last.y, k)
-    outer = _conic(realization, p_prev.x, p_prev.y, m)
-    a = mesh[3] - outer[3]
-    b = mesh[4] - outer[4]
-    d = outer[5] - mesh[5]
+    reduce_to_line_conic.  The level set {p : pair invariant of (r, p) = t}
+    is the conic (qxx, qxy, qyy, qx, qy, q0) = (1, 0, 1, -(2 + t^2) r.x,
+    -2 r.y, r.x^2 + r.y^2) for sl3, from |p - r|^2 = t^2 r.x p.x, and
+    (-1, 0, 1, (2 - 4 t^2 / (1 + t^2)) r.x, -2 r.y, r.y^2 - r.x^2) for sl4.
+    """
+    lx, ly, px, py = p_last.x, p_last.y, p_prev.x, p_prev.y
+    if realization is RealizationId.SL3:
+        mesh = (1.0, 0.0, 1.0, -(2.0 + k * k) * lx, -2.0 * ly, lx * lx + ly * ly)
+        outer_qx, outer_q0 = -(2.0 + m * m) * px, px * px + py * py
+    else:
+        qx = (2.0 - 4.0 * (k * k / (1.0 + k * k))) * lx
+        mesh = (-1.0, 0.0, 1.0, qx, -2.0 * ly, ly * ly - lx * lx)
+        outer_qx, outer_q0 = (2.0 - 4.0 * (m * m / (1.0 + m * m))) * px, py * py - px * px
+    a = mesh[3] - outer_qx
+    b = mesh[4] - (-2.0 * py)
+    d = outer_q0 - mesh[5]
     nrm = math.hypot(a, b)
     if nrm == 0.0:
         raise NoIntersection("the step's level sets are concentric, no line", p_last)
@@ -354,22 +358,24 @@ def _fast_step(
     return _polish(realization, p_prev, p_last, k, m, best[1], best[2])
 
 
-def _disc_grad(
-    realization: RealizationId, rx: float, ry: float, x: float, y: float
-) -> tuple[float, float, float]:
-    """Pair invariant of ((rx, ry), (x, y)) and its gradient in (x, y)."""
+def _disc_grad_sl3(rx: float, ry: float, x: float, y: float) -> tuple[float, float, float]:
+    """sl3 pair invariant of ((rx, ry), (x, y)) and its gradient in (x, y)."""
     dx, dy = x - rx, y - ry
-    if realization is RealizationId.SL3:
-        den = rx * x
-        if den <= 0.0:
-            raise DomainViolation("pair invariant needs x > 0", Point2(x, y))
-        d2 = (dx * dx + dy * dy) / den
-        d = math.sqrt(d2)
-        if d == 0.0:
-            raise DomainViolation("coincident pair", Point2(x, y))
-        gx = (2.0 * dx / den - d2 / x) / (2.0 * d)
-        gy = dy / (den * d)
-        return d, gx, gy
+    den = rx * x
+    if den <= 0.0:
+        raise DomainViolation("pair invariant needs x > 0", Point2(x, y))
+    d2 = (dx * dx + dy * dy) / den
+    d = math.sqrt(d2)
+    if d == 0.0:
+        raise DomainViolation("coincident pair", Point2(x, y))
+    gx = (2.0 * dx / den - d2 / x) / (2.0 * d)
+    gy = dy / (den * d)
+    return d, gx, gy
+
+
+def _disc_grad_sl4(rx: float, ry: float, x: float, y: float) -> tuple[float, float, float]:
+    """sl4 pair invariant of ((rx, ry), (x, y)) and its gradient in (x, y)."""
+    dx, dy = x - rx, y - ry
     e = dy * dy - dx * dx
     den = 4.0 * rx * x - e
     if e <= 0.0 or den <= 0.0:
@@ -391,17 +397,19 @@ def _polish(
 
     Returns (x, y, da, db, iterations), where da = I(p_last, p) and
     db = I(p_prev, p) are the pair invariants of the returned point p.
-    _disc_grad forms them with the operations of disc_i1_*, so they are the
-    same bits.  Raises DomainViolation when an iterate leaves the invariant
-    domain.
+    _disc_grad_* form them with the operations of disc_i1_*, so they are
+    the same bits.  Raises DomainViolation when an iterate leaves the
+    invariant domain.
     """
+    grad = _disc_grad_sl3 if realization is RealizationId.SL3 else _disc_grad_sl4
+    tol = 1e-14 * max(1.0, k)
     lx, ly, px, py = p_last.x, p_last.y, p_prev.x, p_prev.y
     iters = 0
     for _ in range(4):
-        da, gax, gay = _disc_grad(realization, lx, ly, x, y)
-        db, gbx, gby = _disc_grad(realization, px, py, x, y)
+        da, gax, gay = grad(lx, ly, x, y)
+        db, gbx, gby = grad(px, py, x, y)
         r1, r2 = da - k, db - m
-        if max(abs(r1), abs(r2)) < 1e-14 * max(1.0, k):
+        if max(abs(r1), abs(r2)) < tol:
             return x, y, da, db, iters
         det = gax * gby - gay * gbx
         if det == 0.0:
@@ -410,9 +418,7 @@ def _polish(
         sy = (gax * r2 - gbx * r1) / det
         x, y = x - sx, y - sy
         iters += 1
-    da = _disc_grad(realization, lx, ly, x, y)[0]
-    db = _disc_grad(realization, px, py, x, y)[0]
-    return x, y, da, db, iters
+    return x, y, grad(lx, ly, x, y)[0], grad(px, py, x, y)[0], iters
 
 
 def newton_fallback_step(state: SchemeState, guess: Point2) -> Point2:
@@ -488,9 +494,12 @@ def step_with_diagnostics(state: SchemeState) -> tuple[Point2, StepDiagnostics]:
     advance_state.  The polish returns the pair invariants da = I(p_last, p)
     and db = I(p_prev, p) of its point p; the residuals are |da - K| and
     |db - M|, and J1 is that of (p_prev, p_last, p) from the state's newest
-    pair invariant, da and db.  Only a finite residual above 5e-11 goes to
+    pair invariant, da and db.  At order 3, J2 of the window plus p comes
+    from that J1, the window's J1 and the pair invariants, with the
+    operations of window_j2.  Only a finite residual above 5e-11 goes to
     the Newton fallback, whose point gets da and db afresh; one that stays
-    above it, or is not finite, raises NewtonDivergence.
+    above it, or is not finite, raises NewtonDivergence.  The step leaves
+    p, da and (order 3) J1 on the state for advance_state.
     """
     _check_mesh(state)
     spec = state.spec
@@ -509,17 +518,16 @@ def step_with_diagnostics(state: SchemeState) -> tuple[Point2, StepDiagnostics]:
         res = max(mesh_res, scheme_res)
     if not res <= _RESIDUAL_HALT:
         raise NewtonDivergence(f"step residual {res:.3e} did not converge", root)
-    j1 = window_j1_from_pairs(realization, p_prev, p_last, root, state.pairs[-1], da, db)
+    pairs = state.pairs
+    j1 = window_j1_from_pairs(realization, p_prev, p_last, root, pairs[-1], da, db)
     j2 = None
     if spec.order == 3:
-        j2 = window_j2(realization, state.window[-3], p_prev, p_last, root)
-    return root, StepDiagnostics(
-        j1=j1,
-        mesh_residual=mesh_res,
-        scheme_residual=scheme_res,
-        iterations=iters,
-        j2=j2,
-    )
+        j1w = state.j1_window
+        j2 = 3.0 * (j1 - j1w) / (pairs[0] + pairs[1] + da)
+        if realization is RealizationId.SL4:
+            j2 = j2 + 6.0 * j1w * j1w + 3.0
+    state._step = (root, da, j1 if spec.order == 3 else None)
+    return root, StepDiagnostics(j1, mesh_res, scheme_res, iters, j2)
 
 
 def advance_state(state: SchemeState, p_next: Point2) -> SchemeState:
@@ -527,26 +535,32 @@ def advance_state(state: SchemeState, p_next: Point2) -> SchemeState:
 
     The next state gets the turning side, at order 3 the J1 target of the
     update rule (from the targets the step left on state), and the pair
-    invariants of its window: the carried ones plus one evaluation for the
-    pair that p_next closes, which the step's mesh residual already checked.
+    invariants of its window: the carried ones plus the one for the pair
+    that p_next closes.  When p_next equals the point of the state's last
+    step, that pair invariant and (order 3) the window's J1 are the step's;
+    for any other point they are evaluated.
     """
     spec, window = state.spec, state.window
     side = turning_side(window[-2], window[-1], p_next, fallback=state.side)
     last_j1 = state.targets.j1_next if spec.order == 3 else None
-    newest = _pair_disc(spec.realization)(window[-1], p_next)
+    step = state._step
+    if step is not None and step[0] == p_next:
+        _, newest, j1_window = step
+    else:
+        newest, j1_window = _pair_disc(spec.realization)(window[-1], p_next), None
     pairs = state.pairs[1:] + (newest,)
-    return SchemeState(window[1:] + (p_next,), spec, last_j1, side, pairs)
+    return SchemeState(window[1:] + (p_next,), spec, last_j1, side, pairs, j1_window)
 
 
 # -- bootstrap ----------------------------------------------------------------
 
 
-def _pick_direction(sol, t0: float, h: float) -> float:
+def _pick_direction(sol, t0: float, h: float, branch: int) -> float:
     """Walk direction on a conic: increasing y first, increasing x on ties."""
-    p0 = point_at(sol, t0)
+    p0 = point_at(sol, t0, branch)
     probes = {}
     for d in (1.0, -1.0):
-        p1 = point_at(sol, next_chord_point(sol, t0, h, d))
+        p1 = point_at(sol, next_chord_point(sol, t0, h, d, branch), branch)
         probes[d] = (p1.y - p0.y, p1.x - p0.x)
     return max(probes, key=lambda d: probes[d])
 
@@ -647,7 +661,8 @@ def bootstrap(
 
     Order 2 needs x0, y0, C, a: the exact conic through (x0, y0) with
     invariant C and scale a supplies the second point one chord h along
-    it, walking toward increasing y first (increasing x on ties).  Order 3
+    it, on the hyperbola branch that (x0, y0) lies on, walking toward
+    increasing y first (increasing x on ties).  Order 3
     needs x0, y0, yp0, ypp0: the reference solution comes from the
     high-accuracy adaptive integrator at tolerance 1e-12, run forward once
     and grown on demand.  Two bisections on its quintic Hermite interpolant
@@ -672,13 +687,15 @@ def bootstrap(
         c, a = float(ics["C"]), float(ics["a"])
         fit = fit_circle if realization is RealizationId.SL3 else fit_hyperbola
         sol = fit(p0, c, a)[0]
+        # the hyperbola branch p0 lies on; circles ignore it
+        branch = 1 if x0 > sol.cx else -1
         t0 = param_of(sol, p0)
-        direction = _pick_direction(sol, t0, h)
-        t1 = next_chord_point(sol, t0, h, direction)
-        p1 = point_at(sol, t1)
+        direction = _pick_direction(sol, t0, h, branch)
+        t1 = next_chord_point(sol, t0, h, direction, branch)
+        p1 = point_at(sol, t1, branch)
         k = disc(p0, p1)
-        t2 = next_chord_point(sol, t1, h, direction)
-        side = turning_side(p0, p1, point_at(sol, t2))
+        t2 = next_chord_point(sol, t1, h, direction, branch)
+        side = turning_side(p0, p1, point_at(sol, t2, branch))
         spec = SchemeSpec(realization, 2, K=k, C=c)
         return SchemeState((p0, p1), spec, None, side, (k,))
 
@@ -711,7 +728,7 @@ def bootstrap(
     tau = window_j1(realization, p0, p1, p2)
     side = turning_side(p0, p1, p2)
     spec = SchemeSpec(realization, 3, K=k, F=rhs)
-    return SchemeState((p0, p1, p2), spec, tau, side, (k, k2))
+    return SchemeState((p0, p1, p2), spec, tau, side, (k, k2), tau)
 
 
 def run_scheme(

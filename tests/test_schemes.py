@@ -21,11 +21,13 @@ from invscheme import (
     act,
     bootstrap,
     builtin_experiments,
+    config_from_raw,
     disc_i1_sl3,
     disc_i1_sl4,
     fit_circle,
     fit_hyperbola,
     one_parameter,
+    run_experiment,
     run_scheme,
     window_j1,
     window_j2,
@@ -43,6 +45,7 @@ from invscheme.schemes import (
 )
 from invscheme import schemes
 from invscheme.baselines import rk45_integrate
+from invscheme.exact import conic_distance
 
 from helpers import next_circle_point, next_hyperbola_point, solve_line_conic
 
@@ -576,29 +579,39 @@ def _step_outcome(state):
 @pytest.mark.parametrize("h", [0.01, 0.005])
 def test_carried_values_change_no_bit(name, h, monkeypatch):
     """A carried state steps exactly as the same state built by hand, which
-    evaluates its pair invariants on construction; the carried pairs are
-    the pair invariants of the window and the step's residuals those of its
-    point, bit for bit."""
+    evaluates its pair invariants and (order 3) its window's J1 on
+    construction; the carried pairs are the pair invariants of the window,
+    the carried J1 the window's J1, the step's residuals those of its point
+    and its J2 that of window_j2, bit for bit."""
     states = _fig_run_states(name, h, monkeypatch)
     assert len(states) > 200
-    disc = disc_i1_sl3 if states[0].spec.realization is RealizationId.SL3 else disc_i1_sl4
+    r = states[0].spec.realization
+    disc = disc_i1_sl3 if r is RealizationId.SL3 else disc_i1_sl4
     for s in states:
         assert s.pairs == tuple(disc(a, b) for a, b in zip(s.window, s.window[1:]))
         fresh = SchemeState(s.window, s.spec, s.last_j1, s.side)
         assert fresh.pairs == s.pairs
+        if s.spec.order == 3:
+            assert s.j1_window == window_j1(r, *s.window)
+            assert fresh.j1_window == s.j1_window
+        else:
+            assert s.j1_window is None and fresh.j1_window is None
         outcome = _step_outcome(s)
         assert outcome == _step_outcome(fresh)
         if isinstance(outcome[0], Point2):
-            p, j1, _, mesh_res, scheme_res, _ = outcome
-            assert j1 == window_j1(s.spec.realization, s.window[-2], s.window[-1], p)
+            p, j1, j2, mesh_res, scheme_res, _ = outcome
+            assert j1 == window_j1(r, s.window[-2], s.window[-1], p)
             assert mesh_res == abs(disc(s.window[-1], p) - s.spec.K)
             assert scheme_res == abs(disc(s.window[-2], p) - scheme_targets(s).m)
+            if s.spec.order == 3:
+                assert j2 == window_j2(r, *s.window, p)
 
 
 @pytest.mark.parametrize("name", ["fig1", "fig2", "fig3", "fig4"])
-def test_step_evaluates_one_pair_invariant(name, monkeypatch):
-    """One step plus advance_state on a carried state evaluates the pair
-    invariant once: for the pair the new point closes."""
+def test_carried_step_evaluates_no_pair_invariant(name, monkeypatch):
+    """One step plus advance_state on a carried state evaluates no pair
+    invariant: the step's polish returns the one its point closes, and
+    advance_state takes it from the step."""
     cfg = next(c for c in builtin_experiments() if c.name == name)
     state = bootstrap(cfg.realization, cfg.order, cfg.ics, cfg.h, f=cfg.f)
     calls = []
@@ -614,13 +627,13 @@ def test_step_evaluates_one_pair_invariant(name, monkeypatch):
         calls.clear()
         p, _ = step_with_diagnostics(state)
         state = advance_state(state, p)
-        assert calls == [(state.window[-2], p)]
+        assert calls == []
 
 
 @pytest.mark.parametrize("name", ["fig1", "fig2", "fig3", "fig4"])
 def test_step_reuses_pairs_and_targets(name, monkeypatch):
-    """One step plus advance_state takes J1 from the pair invariants it
-    holds: no window_j1 call, one window_j2 call at order 3 only, and one
+    """One step plus advance_state takes J1 and J2 from the pair invariants
+    and the window J1 it holds: no window_j1 or window_j2 call, and one
     targets computation per state."""
     cfg = next(c for c in builtin_experiments() if c.name == name)
     state = bootstrap(cfg.realization, cfg.order, cfg.ics, cfg.h, f=cfg.f)
@@ -639,9 +652,39 @@ def test_step_reuses_pairs_and_targets(name, monkeypatch):
         nxt = advance_state(state, p)
         assert state.targets is state.targets
         assert calls["window_j1"] == 0
-        assert calls["window_j2"] == (1 if cfg.order == 3 else 0)
+        assert calls["window_j2"] == 0
         assert calls["scheme_targets"] == 1
         state = nxt
+
+
+@pytest.mark.parametrize("name", ["fig1", "fig4"])
+def test_advance_state_hands_over_by_point_equality(name, monkeypatch):
+    """advance_state takes the step's values for any point equal to the
+    step's, not only for the same object, and evaluates them for another
+    point; either way the next state is the one a hand-built window has."""
+    cfg = next(c for c in builtin_experiments() if c.name == name)
+    state = bootstrap(cfg.realization, cfg.order, cfg.ics, cfg.h, f=cfg.f)
+    p, _ = step_with_diagnostics(state)
+    step_p, _ = step_with_diagnostics(state)
+    assert step_p == p and step_p is not p
+    calls = Counter()
+    for fn in ("disc_i1_sl3", "disc_i1_sl4"):
+        original = getattr(schemes, fn)
+
+        def counting(pa, pb, original=original):
+            calls["disc"] += 1
+            return original(pa, pb)
+
+        monkeypatch.setattr(schemes, fn, counting)
+    advanced = []
+    for q, evaluations in ((p, 0), (Point2(p.x, p.y + 1e-9), 1)):
+        calls.clear()
+        advanced.append((q, advance_state(state, q)))
+        assert calls["disc"] == evaluations
+    monkeypatch.undo()
+    for q, nxt in advanced:
+        fresh = SchemeState(state.window[1:] + (q,), state.spec, nxt.last_j1, nxt.side)
+        assert (nxt.pairs, nxt.j1_window) == (fresh.pairs, fresh.j1_window)
 
 
 # -- bootstrap -------------------------------------------------------------------
@@ -653,6 +696,25 @@ def test_bootstrap_order2_seeds_on_circle():
     for p in state.window:
         assert abs(math.hypot(p.x - sol.cx, p.y - sol.cy) - sol.r) < 1e-10
     assert abs(disc_i1_sl3(*state.window) - state.spec.K) < 1e-12
+
+
+def test_bootstrap_order2_walks_the_branch_of_the_start(tmp_path):
+    """A start right of the fitted hyperbola's centre seeds on the right
+    branch, where it lies, instead of on the left branch at x < 0."""
+    cfg = config_from_raw({
+        "name": "rb", "realization": "sl4", "order": "Second",
+        "x0": 5, "y0": 5, "C": 5, "a": 1, "h": 0.01, "maxSteps": 2000,
+        "xWindow": [0, 20], "methods": ["invariant"],
+    })
+    sol = fit_hyperbola(Point2(5.0, 5.0), 5.0, 1.0)[0]
+    assert sol.cx < 5.0
+    state = bootstrap(cfg.realization, cfg.order, cfg.ics, cfg.h)
+    for p in state.window:
+        assert conic_distance(sol, p) < 1e-12
+        assert p.x > sol.cx
+    entry = run_experiment(cfg, out_dir=str(tmp_path)).entries["invariant"]
+    assert entry.error is None and entry.new_points > 0
+    assert len((tmp_path / "rb_invariant.csv").read_text().splitlines()) == entry.points + 1
 
 
 def test_bootstrap_k_shrinks_with_h():
