@@ -107,14 +107,15 @@ class SchemeSpec:
             raise ValueError("mesh constant K must be finite and positive")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class StepDiagnostics:
     """Per-step record emitted by the invariant stepper.
 
     j1 is the J1 of (p_prev, p_last, p), the last two window points and
     the step's point p; j2 (order 3 only) is the J2 of the 4-point window
     that ends in p.  mesh_residual and scheme_residual are the residuals
-    of the two equations the step solver enforced.
+    of the two equations the step solver enforced.  One is built per
+    step, so it is slotted, unfrozen and unhashable; read-only by convention.
     """
 
     j1: float

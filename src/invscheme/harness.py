@@ -371,12 +371,11 @@ def _drive_standard_fd(cfg: ExperimentConfig) -> tuple[Trajectory, int]:
             ys = [ics["y0"], _conic_branch_y(sol, x0 + cfg.h, branch)]
         else:
             ys = [ics["y0"], ics["y0"] + cfg.h * ics["yp0"]]
-        width = 2
     else:
         problem = ode_rhs_library(cfg.realization, 3, F=cfg.f)
         curve = _ode_curve(cfg.realization, ics, cfg.f)
         ys = [curve(x0 + i * cfg.h).y for i in range(3)]
-        width = 3
+    width = cfg.order
     traj = Trajectory(points=[Point2(x0 + i * cfg.h, y) for i, y in enumerate(ys)])
     for _ in range(cfg.max_steps):
         i = len(traj.points)
@@ -472,13 +471,11 @@ def _csv_lines(method: str, traj: Trajectory, seed: int) -> Iterator[str]:
 
 def read_trajectory_csv(path: str | Path) -> list[dict[str, float]]:
     """Parse a written trajectory CSV back into per-row value dicts."""
-    rows = []
     with open(path, newline="") as fh:
-        for rec in csv.DictReader(fh):
-            rows.append(
-                {k: float(v) for k, v in rec.items() if v not in ("", None)}
-            )
-    return rows
+        return [
+            {k: float(v) for k, v in rec.items() if v not in ("", None)}
+            for rec in csv.DictReader(fh)
+        ]
 
 
 # Halt reasons that are ordinary run outcomes rather than numeric failures.
@@ -571,7 +568,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> RunR
     directory = _resolve_out_dir(cfg, out_dir)
     directory.mkdir(parents=True, exist_ok=True)
     report = RunReport(cfg, directory)
-    conic = None
     try:
         conic = _exact_conic(cfg)
     except NumericError:
@@ -594,9 +590,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> RunR
             entry.x_max = max(p.x for p in traj.points)
             entry.x_end = traj.points[-1].x
         if conic is not None and traj.points:
-            entry.max_conic_distance = max(
-                conic_distance(conic, p) for p in traj.points
-            )
+            entry.max_conic_distance = max(conic_distance(conic, p) for p in traj.points)
         if method == "invariant" and traj.diagnostics:
             entry.mesh_drift = max(d.mesh_residual for d in traj.diagnostics)
             entry.scheme_drift = max(d.scheme_residual for d in traj.diagnostics)

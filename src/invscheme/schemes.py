@@ -69,7 +69,7 @@ _RESIDUAL_HALT = 5e-11
 _MESH_GUARD = 1e-5
 
 
-@dataclass
+@dataclass(slots=True)
 class SchemeState:
     """Stepper state: the sliding window plus continuation bookkeeping.
 
@@ -83,12 +83,11 @@ class SchemeState:
     first, and j1_window the window's measured J1 (order 3 only).
     bootstrap and advance_state pass them; a state built without them
     evaluates them in window order, raising the first pair's error.
-    targets are computed once per state, and the step leaves its point,
-    that point's pair invariant and J1 for advance_state, in plain fields,
-    since cached_property takes a lock on every access.  A state is not
-    frozen, because a frozen dataclass sets each field through
-    object.__setattr__ and a run builds one state per step; treat it as
-    read-only, since the cached fields follow from the window.
+    mesh_checked is the mesh guard's state, set by advance_state on a
+    state built from its step's hand-over (see _check_mesh).  A run builds
+    one state per step, so the record is slotted and unfrozen, with the
+    targets and the step's hand-over in plain fields; it is read-only by
+    convention.
     """
 
     window: tuple[Point2, ...]
@@ -97,6 +96,7 @@ class SchemeState:
     side: float = 0.0
     pairs: Optional[tuple[float, ...]] = field(default=None, compare=False, repr=False)
     j1_window: Optional[float] = field(default=None, compare=False, repr=False)
+    mesh_checked: bool = field(default=False, compare=False, repr=False)
     _targets: Optional[SchemeTargets] = field(
         default=None, init=False, compare=False, repr=False
     )
@@ -112,8 +112,7 @@ class SchemeState:
             raise ValueError("order-3 state needs last_j1")
         if self.pairs is None:
             disc = _pair_disc(self.spec.realization)
-            pairs = tuple(disc(pa, pb) for pa, pb in zip(self.window, self.window[1:]))
-            self.pairs = pairs
+            self.pairs = tuple(disc(pa, pb) for pa, pb in zip(self.window, self.window[1:]))
         elif len(self.pairs) != self.spec.order - 1:
             raise ValueError("pairs needs one invariant per consecutive window pair")
         if self.spec.order == 3 and self.j1_window is None:
@@ -159,10 +158,10 @@ def _pair_disc(realization: RealizationId) -> Callable[[Point2, Point2], float]:
     return disc_i1_sl3 if realization is RealizationId.SL3 else disc_i1_sl4
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SchemeTargets:
-    """Per-step targets: outer target M and (order 3 only) the next J1
-    value produced by the update rule."""
+    """Per-step targets: outer target M and (order 3) the update rule's
+    next J1.  Slotted and unfrozen; read-only by convention."""
 
     m: float
     j1_next: Optional[float] = None
@@ -190,9 +189,7 @@ def scheme_targets(state: SchemeState) -> SchemeTargets:
     k = spec.K
     if spec.order == 2:
         (i1n,) = state.pairs
-        t = spec.C
-        m = _invert_j1(spec.realization, i1n + k, i1n * k, t)
-        j1_next = None
+        m, j1_next = _invert_j1(spec.realization, i1n + k, i1n * k, spec.C), None
     else:
         i1n, i1n1 = state.pairs
         s3 = i1n + i1n1 + k
@@ -216,6 +213,9 @@ def scheme_targets(state: SchemeState) -> SchemeTargets:
 
 
 def _check_mesh(state: SchemeState) -> None:
+    """Raise DomainViolation unless every window pair matches K to 1e-5.
+    A state built from a step's hand-over skips it: its newest pair passed
+    the 5e-11 residual gate and its older ones this check a step before."""
     for value, pb in zip(state.pairs, state.window[1:]):
         if not near_equal(value, state.spec.K, _MESH_GUARD):
             raise DomainViolation(
@@ -489,19 +489,20 @@ def newton_fallback_step(state: SchemeState, guess: Point2) -> Point2:
 def step_with_diagnostics(state: SchemeState) -> tuple[Point2, StepDiagnostics]:
     """One scheme step: line/conic fast path, Newton fallback, diagnostics.
 
-    Each quantity is computed once.  The mesh guard and the targets read
-    the state's pair invariants, and the targets stay on the state for
-    advance_state.  The polish returns the pair invariants da = I(p_last, p)
-    and db = I(p_prev, p) of its point p; the residuals are |da - K| and
-    |db - M|, and J1 is that of (p_prev, p_last, p) from the state's newest
-    pair invariant, da and db.  At order 3, J2 of the window plus p comes
-    from that J1, the window's J1 and the pair invariants, with the
-    operations of window_j2.  Only a finite residual above 5e-11 goes to
-    the Newton fallback, whose point gets da and db afresh; one that stays
-    above it, or is not finite, raises NewtonDivergence.  The step leaves
-    p, da and (order 3) J1 on the state for advance_state.
+    Each quantity is computed once.  The mesh guard (for a state not built
+    from a hand-over) and the targets read the state's pair invariants.
+    The polish returns the pair invariants da = I(p_last, p) and
+    db = I(p_prev, p) of its point p; the residuals are |da - K| and
+    |db - M|, and J1 is that of (p_prev, p_last, p) from the state's
+    newest pair invariant, da and db.  At order 3, J2 of the window plus
+    p comes from that J1, the window's J1 and the pair invariants, with
+    the operations of window_j2.  Only a finite residual above 5e-11 goes
+    to the Newton fallback, whose point gets da and db afresh; one that
+    stays above it, or is not finite, raises NewtonDivergence.  The step
+    leaves p, da and (order 3) J1 on the state for advance_state.
     """
-    _check_mesh(state)
+    if not state.mesh_checked:
+        _check_mesh(state)
     spec = state.spec
     realization, k, m = spec.realization, spec.K, state.targets.m
     p_prev, p_last = state.window[-2], state.window[-1]
@@ -536,20 +537,22 @@ def advance_state(state: SchemeState, p_next: Point2) -> SchemeState:
     The next state gets the turning side, at order 3 the J1 target of the
     update rule (from the targets the step left on state), and the pair
     invariants of its window: the carried ones plus the one for the pair
-    that p_next closes.  When p_next equals the point of the state's last
-    step, that pair invariant and (order 3) the window's J1 are the step's;
-    for any other point they are evaluated.
+    that p_next closes.  When p_next is or equals the point of the state's
+    last step, that pair invariant and (order 3) the window's J1 are the
+    step's, and the next state skips the mesh guard; for any other point
+    they are evaluated, and it does not.
     """
     spec, window = state.spec, state.window
     side = turning_side(window[-2], window[-1], p_next, fallback=state.side)
     last_j1 = state.targets.j1_next if spec.order == 3 else None
     step = state._step
-    if step is not None and step[0] == p_next:
+    handed = step is not None and (step[0] is p_next or step[0] == p_next)
+    if handed:
         _, newest, j1_window = step
     else:
         newest, j1_window = _pair_disc(spec.realization)(window[-1], p_next), None
     pairs = state.pairs[1:] + (newest,)
-    return SchemeState(window[1:] + (p_next,), spec, last_j1, side, pairs, j1_window)
+    return SchemeState(window[1:] + (p_next,), spec, last_j1, side, pairs, j1_window, handed)
 
 
 # -- bootstrap ----------------------------------------------------------------
@@ -748,7 +751,9 @@ def run_scheme(
     if max_steps <= 0:
         traj.halt = HaltInfo("maxSteps", x=state.window[-1].x, detail="0 steps requested")
         return traj
-    t0 = time.perf_counter()
+    add_point, add_diag = traj.points.append, traj.diagnostics.append
+    add_seconds, clock = traj.step_seconds.append, time.perf_counter
+    t0 = clock()
     for _ in range(max_steps):
         try:
             p_next, diag = step_with_diagnostics(state)
@@ -756,10 +761,10 @@ def run_scheme(
         except NumericError as exc:
             traj.halt = HaltInfo(exc.kind, x=state.window[-1].x, detail=exc.detail)
             return traj
-        traj.points.append(p_next)
-        traj.diagnostics.append(diag)
-        t1 = time.perf_counter()
-        traj.step_seconds.append(t1 - t0)
+        add_point(p_next)
+        add_diag(diag)
+        t1 = clock()
+        add_seconds(t1 - t0)
         t0 = t1
         if x_window is not None and not (x_window[0] <= p_next.x <= x_window[1]):
             traj.halt = HaltInfo(

@@ -247,6 +247,17 @@ def test_benchmark_reports_per_method_costs():
     assert isinstance(out["softInvariantFasterOrEqual"], bool)
 
 
+@pytest.mark.parametrize("name", ["fig1", "fig2", "fig3", "fig4"])
+def test_run_experiment_writes_nothing_to_the_console(name, tmp_path, capsys):
+    """The library path prints nothing, so a caller that reports on its
+    own standard output (as the benchmark does, on its last line) owns it."""
+    raw = _builtin(name).as_raw()
+    raw.update(maxSteps=20, methods=["invariant", "standardFD", "rk45"])
+    report = run_experiment(config_from_raw(raw), str(tmp_path))
+    assert set(report.entries) == {"invariant", "standardFD", "rk45"}
+    assert capsys.readouterr() == ("", "")
+
+
 # -- command line ---------------------------------------------------------------
 
 

@@ -486,6 +486,103 @@ def test_mesh_precondition_guard():
         step_with_diagnostics(SchemeState((p0, p1), spec))
 
 
+def _builtin_start(name):
+    cfg = next(c for c in builtin_experiments() if c.name == name)
+    return cfg, bootstrap(cfg.realization, cfg.order, cfg.ics, cfg.h, f=cfg.f)
+
+
+def _off_mesh(state, anchor, p):
+    """p moved along the chord from anchor, by bisection on the chord's
+    scale, until the pair invariant of (anchor, p) misses K by 1e-4
+    relative in near_equal's measure: ten times the mesh guard."""
+    r, k = state.spec.realization, state.spec.K
+    disc = disc_i1_sl3 if r is RealizationId.SL3 else disc_i1_sl4
+    target = k + 1e-4 * (1.0 + k)
+
+    def at(s):
+        return Point2(anchor.x + s * (p.x - anchor.x), anchor.y + s * (p.y - anchor.y))
+
+    lo, hi = 1.0, 2.0
+    assert disc(anchor, at(lo)) < target < disc(anchor, at(hi))
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if disc(anchor, at(mid)) < target else (lo, mid)
+    q = at(hi)
+    assert abs(disc(anchor, q) - target) < 1e-9
+    return q
+
+
+@pytest.mark.parametrize("name", ["fig1", "fig4"])
+def test_mesh_guard_rejects_a_hand_built_window_off_the_mesh(name):
+    """A hand-built state whose newest pair misses K is rejected by its
+    first step, and a run from it halts there with no new point."""
+    cfg, state = _builtin_start(name)
+    w = state.window
+    off = SchemeState(
+        w[:-1] + (_off_mesh(state, w[-2], w[-1]),), state.spec, state.last_j1, state.side
+    )
+    with pytest.raises(DomainViolation, match="does not match the mesh constant"):
+        step_with_diagnostics(off)
+    traj = run_scheme(off, 50, cfg.x_window)
+    assert traj.halt.reason == "domainViolation"
+    assert "does not match the mesh constant" in traj.halt.detail
+    assert traj.halt.x == off.window[-1].x
+    assert traj.points == list(off.window) and traj.diagnostics == []
+
+
+@pytest.mark.parametrize("name", ["fig1", "fig4"])
+def test_mesh_guard_checks_a_state_advanced_over_another_point(name):
+    """advance_state over a point other than its step's evaluates that
+    pair invariant, and the next step checks it against K; over the
+    step's own point the run goes on."""
+    _, state = _builtin_start(name)
+    p, _ = step_with_diagnostics(state)
+    q = _off_mesh(state, state.window[-1], p)
+    with pytest.raises(DomainViolation, match="does not match the mesh constant"):
+        step_with_diagnostics(advance_state(state, q))
+    step_with_diagnostics(advance_state(state, p))
+
+
+@pytest.mark.parametrize("name", ["fig1", "fig2", "fig3", "fig4"])
+def test_mesh_guard_checks_each_pair_once(name, monkeypatch):
+    """Along a run from bootstrap only the first state meets the mesh
+    guard: every later state is built from its step's hand-over, whose
+    newest pair passed the residual gate and whose older pairs were
+    checked a step before."""
+    cfg, state = _builtin_start(name)
+    checked = []
+    check = schemes._check_mesh
+
+    def counting(s):
+        checked.append(s)
+        return check(s)
+
+    monkeypatch.setattr(schemes, "_check_mesh", counting)
+    traj = run_scheme(state, 50, cfg.x_window)
+    assert len(traj.diagnostics) == 50
+    assert len(checked) == 1 and checked[0] is state
+
+
+@pytest.mark.parametrize("name", ["fig1", "fig2", "fig3", "fig4"])
+def test_run_scheme_steps_through_the_module_seams(name, monkeypatch):
+    """run_scheme looks step_with_diagnostics and advance_state up on the
+    module for every step, so wrappers patched there (as the benchmark's
+    tracer patches them) see each accepted step once."""
+    cfg, state = _builtin_start(name)
+    calls = Counter()
+    for fn in ("step_with_diagnostics", "advance_state"):
+        original = getattr(schemes, fn)
+
+        def counting(*args, fn=fn, original=original):
+            calls[fn] += 1
+            return original(*args)
+
+        monkeypatch.setattr(schemes, fn, counting)
+    traj = run_scheme(state, 50, cfg.x_window)
+    assert len(traj.diagnostics) == 50
+    assert calls == {"step_with_diagnostics": 50, "advance_state": 50}
+
+
 def test_degenerate_window_rejected():
     p = Point2(1.0, 1.0)
     spec = SchemeSpec(RealizationId.SL3, 3, K=0.1, F=square)
