@@ -54,7 +54,7 @@ from .exact import (
 from .invariants import (
     disc_i1_sl3,
     disc_i1_sl4,
-    window_invariants,
+    window_j1,
     window_j2,
 )
 from .schemes import bootstrap, run_scheme
@@ -280,21 +280,23 @@ class SingularityFlag:
     kind: str  # "blow-up" or "tangent-crossing"
 
 
-def all_singularities(traj: Trajectory) -> list[SingularityFlag]:
-    """Every secant blow-up (|dy/dx| > 1e4) and x-reversal, in order."""
+def _singularities(traj: Trajectory) -> Iterator[SingularityFlag]:
     pts = traj.points
-    flags: list[SingularityFlag] = []
     for j in range(len(pts) - 1):
         dx = pts[j + 1].x - pts[j].x
         dy = pts[j + 1].y - pts[j].y
         if j >= 1:
             dx_prev = pts[j].x - pts[j - 1].x
             if dx_prev * dx < 0.0:
-                flags.append(SingularityFlag(pts[j].x, "tangent-crossing"))
+                yield SingularityFlag(pts[j].x, "tangent-crossing")
                 continue
         if abs(dy) > 1e4 * abs(dx):
-            flags.append(SingularityFlag(pts[j + 1].x, "blow-up"))
-    return flags
+            yield SingularityFlag(pts[j + 1].x, "blow-up")
+
+
+def all_singularities(traj: Trajectory) -> list[SingularityFlag]:
+    """Every secant blow-up (|dy/dx| > 1e4) and x-reversal, in order."""
+    return list(_singularities(traj))
 
 
 def detect_singularity(traj: Trajectory) -> Optional[SingularityFlag]:
@@ -306,8 +308,7 @@ def detect_singularity(traj: Trajectory) -> Optional[SingularityFlag]:
     """
     if len(traj.points) < 3:
         return None
-    flags = all_singularities(traj)
-    return flags[0] if flags else None
+    return next(_singularities(traj), None)
 
 
 # -- method drivers ------------------------------------------------------------
@@ -732,8 +733,8 @@ def _cmd_invariants(args) -> int:
         for i in range(len(pts) - 1):
             print(f"disc_I1[{i},{i+1}] = {disc(pts[i], pts[i+1]):.17g}")
         for i in range(len(pts) - 2):
-            win = window_invariants(realization, pts[i], pts[i + 1], pts[i + 2])
-            print(f"J1[{i}..{i+2}] = {win.j1:.17g}")
+            j1 = window_j1(realization, pts[i], pts[i + 1], pts[i + 2])
+            print(f"J1[{i}..{i+2}] = {j1:.17g}")
         for i in range(len(pts) - 3):
             j2 = window_j2(realization, pts[i], pts[i + 1], pts[i + 2], pts[i + 3])
             print(f"J2[{i}..{i+3}] = {j2:.17g}")

@@ -149,16 +149,6 @@ def _checked_sqrt(radicand: float, what: str) -> float:
     return math.sqrt(radicand)
 
 
-@dataclass(frozen=True)
-class WindowInvariants:
-    """Pair invariants of a 3-point window plus a well-conditioned J1."""
-
-    i1n: float
-    i1n1: float
-    i2n1: float
-    j1: float
-
-
 def window_j1_from_pairs(
     realization: RealizationId, pa: Point2, pb: Point2, pc: Point2,
     i1n: float, i1n1: float, i2: float,
@@ -212,28 +202,30 @@ def window_j1_from_pairs(
     return j1
 
 
-def window_invariants(
-    realization: RealizationId, pa: Point2, pb: Point2, pc: Point2
-) -> WindowInvariants:
-    """Pair invariants (by disc_i1_*) and J1 of one 3-point window."""
+def window_j1(realization: RealizationId, pa: Point2, pb: Point2, pc: Point2) -> float:
+    """J1 of one 3-point window from its pair invariants (by disc_i1_*)."""
     disc = disc_i1_sl3 if realization is RealizationId.SL3 else disc_i1_sl4
     i1n, i1n1, i2 = disc(pa, pb), disc(pb, pc), disc(pa, pc)
-    return WindowInvariants(
-        i1n, i1n1, i2, window_j1_from_pairs(realization, pa, pb, pc, i1n, i1n1, i2)
-    )
+    return window_j1_from_pairs(realization, pa, pb, pc, i1n, i1n1, i2)
 
 
-def window_j1(realization: RealizationId, pa: Point2, pb: Point2, pc: Point2) -> float:
-    return window_invariants(realization, pa, pb, pc).j1
+def _j2(realization: RealizationId, j1a: float, j1b: float, s: float) -> float:
+    """J2 from the J1s of two overlapping 3-point windows and the sum s of
+    the three consecutive pair invariants they span."""
+    j2 = 3.0 * (j1b - j1a) / s
+    if realization is RealizationId.SL4:
+        j2 = j2 + 6.0 * j1a * j1a + 3.0
+    return j2
 
 
 def window_j2(
     realization: RealizationId, pa: Point2, pb: Point2, pc: Point2, pd: Point2
 ) -> float:
-    """J2 of a 4-point window, built from two overlapping 3-point windows."""
-    w1 = window_invariants(realization, pa, pb, pc)
-    w2 = window_invariants(realization, pb, pc, pd)
-    s = w1.i1n + w1.i1n1 + w2.i1n1
-    if realization is RealizationId.SL3:
-        return 3.0 * (w2.j1 - w1.j1) / s
-    return 3.0 * (w2.j1 - w1.j1) / s + 6.0 * w1.j1 * w1.j1 + 3.0
+    """J2 of a 4-point window, built from two overlapping 3-point windows
+    that share the pair invariant of (pb, pc)."""
+    disc = disc_i1_sl3 if realization is RealizationId.SL3 else disc_i1_sl4
+    i_ab, i_bc, i_ac = disc(pa, pb), disc(pb, pc), disc(pa, pc)
+    j1a = window_j1_from_pairs(realization, pa, pb, pc, i_ab, i_bc, i_ac)
+    i_cd, i_bd = disc(pc, pd), disc(pb, pd)
+    j1b = window_j1_from_pairs(realization, pb, pc, pd, i_bc, i_cd, i_bd)
+    return _j2(realization, j1a, j1b, i_ab + i_bc + i_cd)

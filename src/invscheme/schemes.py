@@ -9,10 +9,11 @@ rule for order 3).  Each equation is a level set of a pair invariant,
 which is a conic in the coordinates of p; subtracting one conic equation
 from the other leaves a straight line, so every step reduces to a single
 line/conic intersection.  A short Newton polish removes the intersection
-roundoff, and a damped 2-D Newton on the pair-invariant equations serves
-as an independent fallback for a polish that stops short of the residual
-gate.  A degenerate reduction or a polish that leaves the invariant domain
-ends the step instead, since no Newton solve can succeed from there.
+roundoff; it is the step's only solver, and a polish that stops short of
+the residual gate, leaves the invariant domain, or follows a degenerate
+reduction ends the step.  newton_fallback_step, a damped 2-D Newton on the
+pair-invariant equations that never sees the reduction, is the tests'
+independent oracle for the step's point.
 
 Root selection: the intersection quadratic has two roots, mirror images
 across the line.  Away from tangency both lie forward of the motion, so
@@ -58,7 +59,9 @@ from .exact import (
     point_at,
 )
 # Nothing here calls window_j2; bench/tracing.py counts its calls on this module.
-from .invariants import disc_i1_sl3, disc_i1_sl4, window_j1, window_j1_from_pairs, window_j2
+from .invariants import (
+    _j2, disc_i1_sl3, disc_i1_sl4, window_j1, window_j1_from_pairs, window_j2,
+)
 
 # Residual level (on the pair-invariant equations) beyond which a step is
 # rejected as unreliable rather than appended to the trajectory.
@@ -76,7 +79,7 @@ class SchemeState:
     window holds the points a step needs (2 for order 2, 3 for order 3),
     oldest first.  last_j1 is the update rule's J1 target (order 3 only):
     bootstrap starts it at the window's J1, tau, and advance_state carries
-    the previous step's targets.j1_next.  side is the turning side carried
+    the previous step's j1_next target.  side is the turning side carried
     for root selection: +1, -1, or 0 when not yet established.
 
     pairs holds the pair invariants of consecutive window points, oldest
@@ -86,8 +89,7 @@ class SchemeState:
     mesh_checked is the mesh guard's state, set by advance_state on a
     state built from its step's hand-over (see _check_mesh).  A run builds
     one state per step, so the record is slotted and unfrozen, with the
-    targets and the step's hand-over in plain fields; it is read-only by
-    convention.
+    step's hand-over in a plain field; it is read-only by convention.
     """
 
     window: tuple[Point2, ...]
@@ -97,9 +99,6 @@ class SchemeState:
     pairs: Optional[tuple[float, ...]] = field(default=None, compare=False, repr=False)
     j1_window: Optional[float] = field(default=None, compare=False, repr=False)
     mesh_checked: bool = field(default=False, compare=False, repr=False)
-    _targets: Optional[SchemeTargets] = field(
-        default=None, init=False, compare=False, repr=False
-    )
     _step: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -117,12 +116,6 @@ class SchemeState:
             raise ValueError("pairs needs one invariant per consecutive window pair")
         if self.spec.order == 3 and self.j1_window is None:
             self.j1_window = window_j1(self.spec.realization, *self.window)
-
-    @property
-    def targets(self) -> SchemeTargets:
-        if self._targets is None:
-            self._targets = scheme_targets(self)
-        return self._targets
 
 
 @dataclass(frozen=True)
@@ -266,7 +259,7 @@ def reduce_to_line_conic(state: SchemeState) -> tuple[LineCoeffs, ConicCoeffs]:
     """
     line, mesh = _line(
         state.spec.realization, state.window[-2], state.window[-1],
-        state.spec.K, state.targets.m,
+        state.spec.K, scheme_targets(state).m,
     )
     return LineCoeffs(*line), ConicCoeffs(*mesh)
 
@@ -422,7 +415,9 @@ def _polish(
 
 
 def newton_fallback_step(state: SchemeState, guess: Point2) -> Point2:
-    """Damped 2-D Newton on the step's pair-invariant equations.
+    """Damped 2-D Newton on the step's pair-invariant equations: the tests'
+    oracle for the step's point, which the step itself never calls (the
+    benchmark's tracer counts calls under this name).
 
     Independent of the line/conic reduction: finite-difference Jacobian
     (relative step 1e-7), at most 50 iterations, halving the update up to
@@ -430,10 +425,9 @@ def newton_fallback_step(state: SchemeState, guess: Point2) -> Point2:
     both residuals are at most 1e-12; an already-exact guess returns
     immediately.  Raises NewtonDivergence otherwise.
     """
-    targets = state.targets
     disc = _pair_disc(state.spec.realization)
     p_last, p_prev = state.window[-1], state.window[-2]
-    k, m = state.spec.K, targets.m
+    k, m = state.spec.K, scheme_targets(state).m
 
     def residuals(p: Point2) -> tuple[float, float]:
         if not validate_point(p):
@@ -487,47 +481,38 @@ def newton_fallback_step(state: SchemeState, guess: Point2) -> Point2:
 
 
 def step_with_diagnostics(state: SchemeState) -> tuple[Point2, StepDiagnostics]:
-    """One scheme step: line/conic fast path, Newton fallback, diagnostics.
+    """One scheme step: targets, line/conic fast path with its polish, and
+    diagnostics.
 
     Each quantity is computed once.  The mesh guard (for a state not built
     from a hand-over) and the targets read the state's pair invariants.
-    The polish returns the pair invariants da = I(p_last, p) and
-    db = I(p_prev, p) of its point p; the residuals are |da - K| and
-    |db - M|, and J1 is that of (p_prev, p_last, p) from the state's
-    newest pair invariant, da and db.  At order 3, J2 of the window plus
-    p comes from that J1, the window's J1 and the pair invariants, with
-    the operations of window_j2.  Only a finite residual above 5e-11 goes
-    to the Newton fallback, whose point gets da and db afresh; one that
-    stays above it, or is not finite, raises NewtonDivergence.  The step
-    leaves p, da and (order 3) J1 on the state for advance_state.
+    The polish, the step's only solver, returns the pair invariants
+    da = I(p_last, p) and db = I(p_prev, p) of its point p; the residuals
+    are |da - K| and |db - M|, and J1 is that of (p_prev, p_last, p) from
+    the state's newest pair invariant, da and db.  At order 3, J2 of the
+    window plus p comes from that J1, the window's J1 and the pair
+    invariants, by window_j2's formula.  A residual above 5e-11, or not
+    finite, raises NewtonDivergence naming it.  The step leaves p, da,
+    (order 3) J1 and the next J1 target on the state for advance_state.
     """
     if not state.mesh_checked:
         _check_mesh(state)
     spec = state.spec
-    realization, k, m = spec.realization, spec.K, state.targets.m
+    targets = scheme_targets(state)
+    realization, k, m = spec.realization, spec.K, targets.m
     p_prev, p_last = state.window[-2], state.window[-1]
     x, y, da, db, iters = _fast_step(realization, p_prev, p_last, k, m, state.side)
     root = Point2(x, y)
     mesh_res, scheme_res = abs(da - k), abs(db - m)
     res = max(mesh_res, scheme_res)
-    if _RESIDUAL_HALT < res < math.inf:
-        root = newton_fallback_step(state, root)
-        disc = _pair_disc(realization)
-        da, db = disc(p_last, root), disc(p_prev, root)
-        mesh_res, scheme_res = abs(da - k), abs(db - m)
-        iters += 1
-        res = max(mesh_res, scheme_res)
     if not res <= _RESIDUAL_HALT:
         raise NewtonDivergence(f"step residual {res:.3e} did not converge", root)
     pairs = state.pairs
     j1 = window_j1_from_pairs(realization, p_prev, p_last, root, pairs[-1], da, db)
     j2 = None
     if spec.order == 3:
-        j1w = state.j1_window
-        j2 = 3.0 * (j1 - j1w) / (pairs[0] + pairs[1] + da)
-        if realization is RealizationId.SL4:
-            j2 = j2 + 6.0 * j1w * j1w + 3.0
-    state._step = (root, da, j1 if spec.order == 3 else None)
+        j2 = _j2(realization, state.j1_window, j1, pairs[0] + pairs[1] + da)
+    state._step = (root, da, j1 if spec.order == 3 else None, targets.j1_next)
     return root, StepDiagnostics(j1, mesh_res, scheme_res, iters, j2)
 
 
@@ -535,21 +520,21 @@ def advance_state(state: SchemeState, p_next: Point2) -> SchemeState:
     """Slide the window over p_next and carry what the next step needs.
 
     The next state gets the turning side, at order 3 the J1 target of the
-    update rule (from the targets the step left on state), and the pair
-    invariants of its window: the carried ones plus the one for the pair
-    that p_next closes.  When p_next is or equals the point of the state's
-    last step, that pair invariant and (order 3) the window's J1 are the
-    step's, and the next state skips the mesh guard; for any other point
-    they are evaluated, and it does not.
+    update rule, and the pair invariants of its window: the carried ones
+    plus the one for the pair that p_next closes.  When p_next is or
+    equals the point of the state's last step, that pair invariant and
+    (order 3) the window's J1 and the J1 target are the step's, and the
+    next state skips the mesh guard; for any other point they are
+    evaluated, the target by scheme_targets, and it does not.
     """
     spec, window = state.spec, state.window
     side = turning_side(window[-2], window[-1], p_next, fallback=state.side)
-    last_j1 = state.targets.j1_next if spec.order == 3 else None
     step = state._step
     handed = step is not None and (step[0] is p_next or step[0] == p_next)
     if handed:
-        _, newest, j1_window = step
+        _, newest, j1_window, last_j1 = step
     else:
+        last_j1 = scheme_targets(state).j1_next if spec.order == 3 else None
         newest, j1_window = _pair_disc(spec.realization)(window[-1], p_next), None
     pairs = state.pairs[1:] + (newest,)
     return SchemeState(window[1:] + (p_next,), spec, last_j1, side, pairs, j1_window, handed)
@@ -558,14 +543,17 @@ def advance_state(state: SchemeState, p_next: Point2) -> SchemeState:
 # -- bootstrap ----------------------------------------------------------------
 
 
-def _pick_direction(sol, t0: float, h: float, branch: int) -> float:
-    """Walk direction on a conic: increasing y first, increasing x on ties."""
+def _pick_direction(sol, t0: float, h: float, branch: int) -> tuple[float, float]:
+    """Walk direction on a conic, increasing y first and increasing x on
+    ties, with the parameter of the chord point one h along it."""
     p0 = point_at(sol, t0, branch)
     probes = {}
     for d in (1.0, -1.0):
-        p1 = point_at(sol, next_chord_point(sol, t0, h, d, branch), branch)
-        probes[d] = (p1.y - p0.y, p1.x - p0.x)
-    return max(probes, key=lambda d: probes[d])
+        t1 = next_chord_point(sol, t0, h, d, branch)
+        p1 = point_at(sol, t1, branch)
+        probes[d] = (p1.y - p0.y, p1.x - p0.x), t1
+    direction = max(probes, key=lambda d: probes[d][0])
+    return direction, probes[direction][1]
 
 
 class _ReferenceCurve:
@@ -693,8 +681,7 @@ def bootstrap(
         # the hyperbola branch p0 lies on; circles ignore it
         branch = 1 if x0 > sol.cx else -1
         t0 = param_of(sol, p0)
-        direction = _pick_direction(sol, t0, h, branch)
-        t1 = next_chord_point(sol, t0, h, direction, branch)
+        direction, t1 = _pick_direction(sol, t0, h, branch)
         p1 = point_at(sol, t1, branch)
         k = disc(p0, p1)
         t2 = next_chord_point(sol, t1, h, direction, branch)

@@ -46,3 +46,14 @@ def test_traced_names_resolve():
         if not callable(getattr(getattr(invscheme, module), name, None))
     }
     assert missing == _EXPECTED_MISSING
+
+
+def test_expected_missing_blanks_no_metric():
+    """A name that a per-layer metric needs is never an expected miss: the
+    traced run drops every metric that needs a missing name, prints
+    "per-layer metrics missing" and still exits 0."""
+    tracing = _load_tracing()
+    needed = {name for names in tracing.SPAN_NEEDS.values() for name in names}
+    needed |= {f"schemes.{name}" for name in tracing.COUNTED}
+    needed |= {f"{module}.{name}" for module, name in _REPLAYED}
+    assert not _EXPECTED_MISSING & needed

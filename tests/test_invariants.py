@@ -24,8 +24,9 @@ from invscheme import (
     disc_i1_sl4,
     ode_rhs_library,
     window_j1,
+    window_j2,
 )
-from invscheme.invariants import window_invariants
+from invscheme import invariants
 
 from helpers import j1_sl3, j1_sl4, j2_sl3, j2_sl4
 
@@ -338,10 +339,57 @@ def test_j1_sl4_hyperbola_limit():
     assert errs[0] > errs[-1]
 
 
-def test_window_invariants_consistency():
+def _count_pairs(monkeypatch):
+    """Record every pair invariant the invariants module evaluates."""
+    pairs = []
+    for name in ("disc_i1_sl3", "disc_i1_sl4"):
+        original = getattr(invariants, name)
+
+        def counting(pa, pb, original=original):
+            pairs.append((pa, pb))
+            return original(pa, pb)
+
+        monkeypatch.setattr(invariants, name, counting)
+    return pairs
+
+
+def test_window_invariants_consistency(monkeypatch):
+    """window_j1 evaluates the window's three pair invariants once each and
+    agrees with the textbook J1 on them."""
     pa, pb, pc = _circle_points(0.4, 1e-2)
-    win = window_invariants(RealizationId.SL3, pa, pb, pc)
-    assert abs(win.i1n - disc_i1_sl3(pa, pb)) < 1e-14
-    assert abs(win.i1n1 - disc_i1_sl3(pb, pc)) < 1e-14
-    assert abs(win.i2n1 - disc_i1_sl3(pa, pc)) < 1e-14
-    assert abs(win.j1 - j1_sl3(win.i1n, win.i1n1, win.i2n1)) < 1e-9
+    pairs = _count_pairs(monkeypatch)
+    j1 = window_j1(RealizationId.SL3, pa, pb, pc)
+    assert pairs == [(pa, pb), (pb, pc), (pa, pc)]
+    monkeypatch.undo()
+    i1n, i1n1, i2n1 = disc_i1_sl3(pa, pb), disc_i1_sl3(pb, pc), disc_i1_sl3(pa, pc)
+    assert abs(j1 - j1_sl3(i1n, i1n1, i2n1)) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "realization,curve",
+    [
+        (RealizationId.SL3, lambda x: math.sin(3.0 * x)),
+        (RealizationId.SL4, lambda x: 2.0 * x * x + 3.0 * x),
+    ],
+    ids=["sl3", "sl4"],
+)
+@pytest.mark.parametrize("dx", [0.05, 0.01])
+def test_window_j2_evaluates_five_pairs(realization, curve, dx, monkeypatch):
+    """window_j2 evaluates each of its five pair invariants once, the pair
+    (pb, pc) its two 3-point windows share included, and agrees with the
+    textbook J2 on the textbook J1s of those windows."""
+    pa, pb, pc, pd = (Point2(x, curve(x)) for x in (1.0, 1.0 + dx, 1.0 + 2 * dx, 1.0 + 3 * dx))
+    pairs = _count_pairs(monkeypatch)
+    j2 = window_j2(realization, pa, pb, pc, pd)
+    assert len(pairs) == 5
+    assert set(pairs) == {(pa, pb), (pb, pc), (pa, pc), (pc, pd), (pb, pd)}
+    monkeypatch.undo()
+    if realization is RealizationId.SL3:
+        disc, j1, j2_oracle = disc_i1_sl3, j1_sl3, j2_sl3
+    else:
+        disc, j1, j2_oracle = disc_i1_sl4, j1_sl4, j2_sl4
+    i_ab, i_bc, i_cd = disc(pa, pb), disc(pb, pc), disc(pc, pd)
+    expected = j2_oracle(
+        i_ab, i_bc, i_cd, j1(i_ab, i_bc, disc(pa, pc)), j1(i_bc, i_cd, disc(pb, pd))
+    )
+    assert abs(j2 - expected) < 1e-9 * abs(expected)

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from collections import Counter
 
 import numpy as np
@@ -631,6 +632,29 @@ def test_run_scheme_records_numeric_halt():
         assert traj.halt.x == traj.points[-1].x
 
 
+def test_polish_residual_above_the_gate_halts_without_a_second_solver(monkeypatch):
+    """fig3 at h = 0.01 ends on a polish residual above the 5e-11 gate, at
+    the x where it ended while the damped Newton fallback still took such
+    a step over (and failed there); the halt names the residual, and no
+    step calls newton_fallback_step."""
+    cfg, state = _builtin_start("fig3")
+    assert cfg.h == 0.01
+    calls = []
+    original = schemes.newton_fallback_step
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(schemes, "newton_fallback_step", counting)
+    traj = run_scheme(state, 20000, cfg.x_window)
+    assert traj.halt.reason == "newtonDivergence"
+    assert traj.halt.x == 0.0375353976880267
+    residual = re.fullmatch(r"step residual (\S+) did not converge", traj.halt.detail)
+    assert residual and 5e-11 < float(residual.group(1)) < math.inf
+    assert calls == []
+
+
 @pytest.mark.parametrize(
     "realization,m",
     [(RealizationId.SL3, 2.0), (RealizationId.SL4, 1.0)],
@@ -747,7 +771,6 @@ def test_step_reuses_pairs_and_targets(name, monkeypatch):
         calls.clear()
         p, _ = step_with_diagnostics(state)
         nxt = advance_state(state, p)
-        assert state.targets is state.targets
         assert calls["window_j1"] == 0
         assert calls["window_j2"] == 0
         assert calls["scheme_targets"] == 1
