@@ -209,15 +209,13 @@ def ode_rhs_library(
 
 # -- scalar Newton step for the finite-difference schemes ---------------------
 
+# Newton acceptance level on |residual|, and the iteration limit.
+_FD_TOL = 1e-12
+_FD_MAX_ITER = 50
+
 
 def standard_fd_step(
-    residual: Callable[..., float],
-    ys: Sequence[float],
-    x1: float,
-    h: float,
-    guess: float,
-    tol: float = 1e-12,
-    max_iter: int = 50,
+    residual: Callable[..., float], ys: Sequence[float], x1: float, h: float, guess: float
 ) -> float:
     """Solve one uniform-mesh step of spacing h for the next y value.
 
@@ -243,14 +241,14 @@ def standard_fd_step(
         raise ValueError("ys must hold 2 or 3 known values")
 
     y = guess
-    for _ in range(max_iter):
+    for _ in range(_FD_MAX_ITER):
         try:
             fy = f(y)
         except NumericError as err:
             raise NewtonDivergence(f"residual left its domain: {err.detail}", y)
         if not math.isfinite(fy):
             raise NewtonDivergence("residual is not finite", y)
-        if abs(fy) <= tol:
+        if abs(fy) <= _FD_TOL:
             return y
         dy_step = 1e-7 * (1.0 + abs(y))
         try:
@@ -265,9 +263,9 @@ def standard_fd_step(
         y -= delta
         if abs(delta) <= 1e-13 * (1.0 + abs(y)):
             fy = f(y)
-            if abs(fy) <= max(tol, 1e-9 * (1.0 + abs(fy))):
+            if abs(fy) <= max(_FD_TOL, 1e-9 * (1.0 + abs(fy))):
                 return y
-    raise NewtonDivergence(f"no convergence in {max_iter} iterations", y)
+    raise NewtonDivergence(f"no convergence in {_FD_MAX_ITER} iterations", y)
 
 
 # -- Dormand-Prince 5(4) ------------------------------------------------------

@@ -190,8 +190,12 @@ def next_chord_point(
     return t + direction * _bisect_param(gap, 0.0, hi, -chord)
 
 
-def _bisect_param(fn, lo: float, hi: float, flo: float, iters: int = 200) -> float:
-    for _ in range(iters):
+# Halving limit of _bisect_param, which stops sooner at a 1e-16 bracket.
+_BISECT_ITERS = 200
+
+
+def _bisect_param(fn, lo: float, hi: float, flo: float) -> float:
+    for _ in range(_BISECT_ITERS):
         mid = 0.5 * (lo + hi)
         fm = fn(mid)
         if fm == 0.0:

@@ -366,12 +366,12 @@ def _drive_standard_fd(cfg: ExperimentConfig) -> tuple[Trajectory, int]:
     x0 = ics["x0"]
     if cfg.order == 2:
         problem = ode_rhs_library(cfg.realization, 2, C=ics["C"])
-        sol = _exact_conic(cfg)
-        if sol is not None:
+        if "yp0" in ics:
+            ys = [ics["y0"], ics["y0"] + cfg.h * ics["yp0"]]
+        else:
+            sol = _exact_conic(cfg)
             branch = 1.0 if ics["y0"] >= sol.cy else -1.0
             ys = [ics["y0"], _conic_branch_y(sol, x0 + cfg.h, branch)]
-        else:
-            ys = [ics["y0"], ics["y0"] + cfg.h * ics["yp0"]]
     else:
         problem = ode_rhs_library(cfg.realization, 3, F=cfg.f)
         curve = _ode_curve(cfg.realization, ics, cfg.f)

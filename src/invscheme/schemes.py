@@ -118,46 +118,8 @@ class SchemeState:
             self.j1_window = window_j1(self.spec.realization, *self.window)
 
 
-@dataclass(frozen=True)
-class LineCoeffs:
-    """Line a*x + b*y = d with (a, b) != (0, 0)."""
-
-    a: float
-    b: float
-    d: float
-
-    def __post_init__(self):
-        if self.a == 0.0 and self.b == 0.0:
-            raise ValueError("line normal must be nonzero")
-
-
-@dataclass(frozen=True)
-class ConicCoeffs:
-    """Conic qxx*x^2 + qxy*x*y + qyy*y^2 + qx*x + qy*y + q0 = 0."""
-
-    qxx: float
-    qxy: float
-    qyy: float
-    qx: float
-    qy: float
-    q0: float
-
-    def __post_init__(self):
-        if self.qxx == 0.0 and self.qxy == 0.0 and self.qyy == 0.0:
-            raise ValueError("conic must have a quadratic part")
-
-
 def _pair_disc(realization: RealizationId) -> Callable[[Point2, Point2], float]:
     return disc_i1_sl3 if realization is RealizationId.SL3 else disc_i1_sl4
-
-
-@dataclass(slots=True)
-class SchemeTargets:
-    """Per-step targets: outer target M and (order 3) the update rule's
-    next J1.  Slotted and unfrozen; read-only by convention."""
-
-    m: float
-    j1_next: Optional[float] = None
 
 
 def _invert_j1(realization: RealizationId, sum_pair: float, prod: float, t: float) -> float:
@@ -172,8 +134,9 @@ def _invert_j1(realization: RealizationId, sum_pair: float, prod: float, t: floa
     return sum_pair + prod * sum_pair * (1.0 + t * t / 2.0)
 
 
-def scheme_targets(state: SchemeState) -> SchemeTargets:
-    """Compute the step's target equations from the current window.
+def scheme_targets(state: SchemeState) -> tuple[float, Optional[float]]:
+    """The step's targets (m, j1_next) from the current window: the outer
+    pair's target M and, at order 3, the update rule's next J1, else None.
 
     Raises NoIntersection when the targets are geometrically impossible
     (negative J1 target on the principal branch, or nonpositive M).
@@ -202,7 +165,7 @@ def scheme_targets(state: SchemeState) -> SchemeTargets:
             f"outer pair invariant target {m:.3e} is not positive",
             state.window[-1],
         )
-    return SchemeTargets(m, j1_next)
+    return m, j1_next
 
 
 def _check_mesh(state: SchemeState) -> None:
@@ -218,50 +181,56 @@ def _check_mesh(state: SchemeState) -> None:
             )
 
 
+def _level_set(sigma: float, r: Point2, c: float) -> tuple[float, float, float]:
+    """(qx, qy, q0) of sigma (x - r.x)^2 + (y - r.y)^2 = c r.x x expanded
+    to sigma x^2 + y^2 + qx x + qy y + q0 = 0."""
+    return -(2.0 * sigma + c) * r.x, -2.0 * r.y, sigma * r.x * r.x + r.y * r.y
+
+
 def _line(
     realization: RealizationId, p_prev: Point2, p_last: Point2, k: float, m: float
-) -> tuple[tuple[float, float, float], tuple[float, float, float, float, float, float]]:
-    """Unit-normal line (a, b, d) of the step and its mesh conic; see
-    reduce_to_line_conic.  The level set {p : pair invariant of (r, p) = t}
-    is the conic (qxx, qxy, qyy, qx, qy, q0) = (1, 0, 1, -(2 + t^2) r.x,
-    -2 r.y, r.x^2 + r.y^2) for sl3, from |p - r|^2 = t^2 r.x p.x, and
-    (-1, 0, 1, (2 - 4 t^2 / (1 + t^2)) r.x, -2 r.y, r.y^2 - r.x^2) for sl4.
+) -> tuple[tuple[float, float, float], tuple[float, float, float, float]]:
+    """Unit-normal line (a, b, d) of the step and its mesh conic as
+    (sigma, qx, qy, q0); see reduce_to_line_conic.
+
+    Both realizations' level sets {p : pair invariant of (r, p) = t} are
+    _level_set's family, with (sigma, c_t) = (1, t^2) for sl3 and
+    (-1, 4 t^2 / (1 + t^2)) for sl4.  The mesh conic is that of (p_last,
+    K), the outer one that of (p_prev, M), and the line their difference.
     """
-    lx, ly, px, py = p_last.x, p_last.y, p_prev.x, p_prev.y
     if realization is RealizationId.SL3:
-        mesh = (1.0, 0.0, 1.0, -(2.0 + k * k) * lx, -2.0 * ly, lx * lx + ly * ly)
-        outer_qx, outer_q0 = -(2.0 + m * m) * px, px * px + py * py
+        sigma, c_k, c_m = 1.0, k * k, m * m
     else:
-        qx = (2.0 - 4.0 * (k * k / (1.0 + k * k))) * lx
-        mesh = (-1.0, 0.0, 1.0, qx, -2.0 * ly, ly * ly - lx * lx)
-        outer_qx, outer_q0 = (2.0 - 4.0 * (m * m / (1.0 + m * m))) * px, py * py - px * px
-    a = mesh[3] - outer_qx
-    b = mesh[4] - (-2.0 * py)
-    d = outer_q0 - mesh[5]
+        sigma, c_k, c_m = -1.0, 4.0 * (k * k / (1.0 + k * k)), 4.0 * (m * m / (1.0 + m * m))
+    qx, qy, q0 = _level_set(sigma, p_last, c_k)
+    ox, oy, o0 = _level_set(sigma, p_prev, c_m)
+    a, b, d = qx - ox, qy - oy, o0 - q0
     nrm = math.hypot(a, b)
     if nrm == 0.0:
         raise NoIntersection("the step's level sets are concentric, no line", p_last)
-    return (a / nrm, b / nrm, d / nrm), mesh
+    return (a / nrm, b / nrm, d / nrm), (sigma, qx, qy, q0)
 
 
-def reduce_to_line_conic(state: SchemeState) -> tuple[LineCoeffs, ConicCoeffs]:
+def reduce_to_line_conic(state: SchemeState) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Rewrite the step's two conic equations as a line plus one conic.
 
     The mesh equation is the conic around the newest window point with
     parameter K; the scheme equation is the conic around the previous
     point with parameter M.  Their quadratic parts are identical, so the
     difference is a line; (line, mesh conic) has exactly the same solution
-    set as the original pair.  The line is returned with a unit normal.
+    set as the original pair.  Returns floats: the unit-normal line
+    a*x + b*y = d as (a, b, d), and the mesh conic as the coefficients
+    (qxx, qxy, qyy, qx, qy, q0) = (sigma, 0.0, 1.0, qx, qy, q0) of _line.
 
     Raises NoIntersection when the difference degenerates (no line): the
     level sets then share their linear part too, so they are concentric,
     and disjoint unless p_prev == p_last, which the window's pairs reject.
     """
-    line, mesh = _line(
+    line, (sigma, qx, qy, q0) = _line(
         state.spec.realization, state.window[-2], state.window[-1],
-        state.spec.K, scheme_targets(state).m,
+        state.spec.K, scheme_targets(state)[0],
     )
-    return LineCoeffs(*line), ConicCoeffs(*mesh)
+    return line, (sigma, 0.0, 1.0, qx, qy, q0)
 
 
 def turning_side(p0: Point2, p1: Point2, p2: Point2, fallback: float = 0.0) -> float:
@@ -284,9 +253,10 @@ def _fast_step(
     """The step's fast path on plain floats: reduction, root pick, polish.
 
     The line, parametrized from the foot of the perpendicular dropped from
-    p_last (which keeps the parameter small), meets the mesh conic in a
-    quadratic solved by the stable (sign-aware) formula; a discriminant
-    within 1e-10 below zero counts as a tangency (double root).
+    p_last (which keeps the parameter small), meets the mesh conic
+    sigma x^2 + y^2 + qx x + qy y + q0 = 0 of _line in a quadratic solved
+    by the stable (sign-aware) formula; a discriminant within 1e-10 below
+    zero counts as a tangency (double root).
 
     Of the roots forward of the last chord and in the half plane, prefer
     the one whose turn matches side (any turn matches side 0); among equals
@@ -303,7 +273,7 @@ def _fast_step(
     reduction degenerates or no root is admissible, and DomainViolation
     when a polish iterate leaves the invariant domain.
     """
-    (la, lb, ld), (qxx, qxy, qyy, qx, qy, q0) = _line(realization, p_prev, p_last, k, m)
+    (la, lb, ld), (sigma, qx, qy, q0) = _line(realization, p_prev, p_last, k, m)
     # A second normalization: dropping it moves the last bit of some roots,
     # and with them the written trajectories.
     nrm = math.hypot(la, lb)
@@ -312,12 +282,9 @@ def _fast_step(
     t0 = la * ax + lb * ay - ld
     bx, by = ax - t0 * la, ay - t0 * lb
     dx, dy = lb, -la
-    alpha = qxx * dx * dx + qxy * dx * dy + qyy * dy * dy
-    beta = (
-        2.0 * qxx * bx * dx + qxy * (bx * dy + by * dx) + 2.0 * qyy * by * dy
-        + qx * dx + qy * dy
-    )
-    gamma = qxx * bx * bx + qxy * bx * by + qyy * by * by + qx * bx + qy * by + q0
+    alpha = sigma * dx * dx + dy * dy
+    beta = 2.0 * sigma * bx * dx + 2.0 * by * dy + qx * dx + qy * dy
+    gamma = sigma * bx * bx + by * by + qx * bx + qy * by + q0
     if abs(alpha) < 1e-13 * (abs(beta) + 1.0):
         if beta == 0.0:
             raise NoIntersection("line/conic system is degenerate", p_last)
@@ -427,7 +394,7 @@ def newton_fallback_step(state: SchemeState, guess: Point2) -> Point2:
     """
     disc = _pair_disc(state.spec.realization)
     p_last, p_prev = state.window[-1], state.window[-2]
-    k, m = state.spec.K, scheme_targets(state).m
+    k, m = state.spec.K, scheme_targets(state)[0]
 
     def residuals(p: Point2) -> tuple[float, float]:
         if not validate_point(p):
@@ -498,8 +465,8 @@ def step_with_diagnostics(state: SchemeState) -> tuple[Point2, StepDiagnostics]:
     if not state.mesh_checked:
         _check_mesh(state)
     spec = state.spec
-    targets = scheme_targets(state)
-    realization, k, m = spec.realization, spec.K, targets.m
+    m, j1_next = scheme_targets(state)
+    realization, k = spec.realization, spec.K
     p_prev, p_last = state.window[-2], state.window[-1]
     x, y, da, db, iters = _fast_step(realization, p_prev, p_last, k, m, state.side)
     root = Point2(x, y)
@@ -512,7 +479,7 @@ def step_with_diagnostics(state: SchemeState) -> tuple[Point2, StepDiagnostics]:
     j2 = None
     if spec.order == 3:
         j2 = _j2(realization, state.j1_window, j1, pairs[0] + pairs[1] + da)
-    state._step = (root, da, j1 if spec.order == 3 else None, targets.j1_next)
+    state._step = (root, da, j1 if spec.order == 3 else None, j1_next)
     return root, StepDiagnostics(j1, mesh_res, scheme_res, iters, j2)
 
 
@@ -534,7 +501,7 @@ def advance_state(state: SchemeState, p_next: Point2) -> SchemeState:
     if handed:
         _, newest, j1_window, last_j1 = step
     else:
-        last_j1 = scheme_targets(state).j1_next if spec.order == 3 else None
+        last_j1 = scheme_targets(state)[1] if spec.order == 3 else None
         newest, j1_window = _pair_disc(spec.realization)(window[-1], p_next), None
     pairs = state.pairs[1:] + (newest,)
     return SchemeState(window[1:] + (p_next,), spec, last_j1, side, pairs, j1_window, handed)

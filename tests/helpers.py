@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -12,13 +13,14 @@ from invscheme import (
     HyperbolaSolution,
     NoIntersection,
     Point2,
+    RealizationId,
     disc_i1_sl3,
     disc_i1_sl4,
 )
 from invscheme.exact import _bisect_param
 from invscheme.group_action import GroupElement
 from invscheme.invariants import _checked_sqrt
-from invscheme.schemes import ConicCoeffs, LineCoeffs
+from invscheme.schemes import _polish, reduce_to_line_conic
 
 
 IDENTITY = GroupElement(1.0, 0.0, 0.0, 1.0)
@@ -46,6 +48,41 @@ def random_group_element(rng: np.random.Generator, scale: float = 1.0) -> GroupE
             s = 1.0 / math.sqrt(det)
             return GroupElement(float(a * s), float(b * s), float(c * s), float(d * s))
     raise RuntimeError("could not sample a positive-determinant element")
+
+
+@dataclass(frozen=True)
+class LineCoeffs:
+    """Line a*x + b*y = d with (a, b) != (0, 0)."""
+
+    a: float
+    b: float
+    d: float
+
+    def __post_init__(self):
+        if self.a == 0.0 and self.b == 0.0:
+            raise ValueError("line normal must be nonzero")
+
+
+@dataclass(frozen=True)
+class ConicCoeffs:
+    """Conic qxx*x^2 + qxy*x*y + qyy*y^2 + qx*x + qy*y + q0 = 0."""
+
+    qxx: float
+    qxy: float
+    qyy: float
+    qx: float
+    qy: float
+    q0: float
+
+    def __post_init__(self):
+        if self.qxx == 0.0 and self.qxy == 0.0 and self.qyy == 0.0:
+            raise ValueError("conic must have a quadratic part")
+
+
+def reduced(state) -> tuple[LineCoeffs, ConicCoeffs]:
+    """reduce_to_line_conic's floats as the two records."""
+    line, conic = reduce_to_line_conic(state)
+    return LineCoeffs(*line), ConicCoeffs(*conic)
 
 
 def solve_line_conic(
@@ -100,6 +137,81 @@ def solve_line_conic(
     if best is None:
         raise NoIntersection("no root continues past the previous point", prev)
     return best
+
+
+# The step's reduction and quadratic written for a general conic, with one
+# six-coefficient level set per realization and pair: an oracle for
+# schemes._line and schemes._fast_step, which form both level sets from
+# the one (sigma, c_t) expression and drop the zero xy terms.
+
+
+def general_conic_line(realization, p_prev, p_last, k, m):
+    """Unit-normal line (a, b, d) and mesh conic (qxx, qxy, qyy, qx, qy, q0)."""
+    lx, ly, px, py = p_last.x, p_last.y, p_prev.x, p_prev.y
+    if realization is RealizationId.SL3:
+        mesh = (1.0, 0.0, 1.0, -(2.0 + k * k) * lx, -2.0 * ly, lx * lx + ly * ly)
+        outer_qx, outer_q0 = -(2.0 + m * m) * px, px * px + py * py
+    else:
+        qx = (2.0 - 4.0 * (k * k / (1.0 + k * k))) * lx
+        mesh = (-1.0, 0.0, 1.0, qx, -2.0 * ly, ly * ly - lx * lx)
+        outer_qx, outer_q0 = (2.0 - 4.0 * (m * m / (1.0 + m * m))) * px, py * py - px * px
+    a = mesh[3] - outer_qx
+    b = mesh[4] - (-2.0 * py)
+    d = outer_q0 - mesh[5]
+    nrm = math.hypot(a, b)
+    if nrm == 0.0:
+        raise NoIntersection("the step's level sets are concentric, no line", p_last)
+    return (a / nrm, b / nrm, d / nrm), mesh
+
+
+def general_conic_step(realization, p_prev, p_last, k, m, side):
+    """schemes._fast_step on general_conic_line's line and conic."""
+    (la, lb, ld), (qxx, qxy, qyy, qx, qy, q0) = general_conic_line(
+        realization, p_prev, p_last, k, m
+    )
+    nrm = math.hypot(la, lb)
+    la, lb, ld = la / nrm, lb / nrm, ld / nrm
+    ax, ay = p_last.x, p_last.y
+    t0 = la * ax + lb * ay - ld
+    bx, by = ax - t0 * la, ay - t0 * lb
+    dx, dy = lb, -la
+    alpha = qxx * dx * dx + qxy * dx * dy + qyy * dy * dy
+    beta = (
+        2.0 * qxx * bx * dx + qxy * (bx * dy + by * dx) + 2.0 * qyy * by * dy
+        + qx * dx + qy * dy
+    )
+    gamma = qxx * bx * bx + qxy * bx * by + qyy * by * by + qx * bx + qy * by + q0
+    if abs(alpha) < 1e-13 * (abs(beta) + 1.0):
+        if beta == 0.0:
+            raise NoIntersection("line/conic system is degenerate", p_last)
+        ts = (-gamma / beta,)
+    else:
+        disc = beta * beta - 4.0 * alpha * gamma
+        if disc < 0.0:
+            if disc < -1e-10:
+                raise NoIntersection(
+                    f"negative intersection discriminant {disc:.3e}", p_last
+                )
+            disc = 0.0
+        sq = math.sqrt(disc)
+        q = -0.5 * (beta + math.copysign(sq, beta))
+        ts = (q / alpha,) if q == 0.0 else (q / alpha, gamma / q)
+    pdx, pdy = ax - p_prev.x, ay - p_prev.y
+    gx, gy = ax + pdx, ay + pdy
+    best = None
+    for t in ts:
+        x, y = bx + t * dx, by + t * dy
+        if x <= 0.0:
+            continue
+        rx, ry = x - ax, y - ay
+        if rx * pdx + ry * pdy <= 0.0:
+            continue
+        key = ((pdx * ry - pdy * rx) * side >= 0.0, -math.hypot(x - gx, y - gy))
+        if best is None or key > best[0]:
+            best = key, x, y
+    if best is None:
+        raise NoIntersection("no admissible forward root", p_last)
+    return _polish(realization, p_prev, p_last, k, m, best[1], best[2])
 
 
 def next_circle_point(sol: CircleSolution, theta: float, k: float, direction: float) -> float:

@@ -54,7 +54,6 @@ from invscheme.baselines import (
 )
 from invscheme.schemes import (
     newton_fallback_step,
-    reduce_to_line_conic,
     scheme_targets,
     square,
     step_with_diagnostics,
@@ -65,6 +64,7 @@ from helpers import (
     next_circle_point,
     next_hyperbola_point,
     random_group_element,
+    reduced,
     solve_line_conic,
 )
 
@@ -410,8 +410,8 @@ def test_criterion_08_reduction_vs_newton(capfd):
                     assert abs(p_conic.y - p_newton.y) < 1e-10 * (1.0 + abs(p_conic.y))
                     agreed += 1
                 if cross_checked < 30:
-                    targets = scheme_targets(state)
-                    line, conic = reduce_to_line_conic(state)
+                    m, _ = scheme_targets(state)
+                    line, conic = reduced(state)
                     prev = state.window[-1]
                     d = (prev.x - state.window[-2].x, prev.y - state.window[-2].y)
                     roots = []
@@ -423,7 +423,7 @@ def test_criterion_08_reduction_vs_newton(capfd):
                     assert roots
                     for root in roots:
                         assert abs(disc(prev, root) - state.spec.K) < 1e-9
-                        assert abs(disc(state.window[-2], root) - targets.m) < 1e-9
+                        assert abs(disc(state.window[-2], root) - m) < 1e-9
                     lres = line.a * p_newton.x + line.b * p_newton.y - line.d
                     cres = (
                         conic.qxx * p_newton.x**2

@@ -167,6 +167,20 @@ def test_csv_bytes_match_the_csv_module(tmp_path, name):
         assert written == csv_oracle_bytes(method, traj, seed)
 
 
+def test_order2_baselines_start_from_the_same_slope():
+    """A config that sets both a and yp0 gives both order-2 baselines the
+    initial slope yp0: standardFD's second value is y0 + h*yp0, not the
+    fitted conic's, and rk45's first chord leaves along the same slope."""
+    raw = _builtin("fig1").as_raw()
+    raw.update(x0=1.5, y0=8.0, C=2.0, a=1.0, yp0=3.0, h=0.01, maxSteps=5)
+    cfg = config_from_raw(raw)
+    fd, _ = _DRIVERS["standardFD"](cfg)
+    rk, _ = _DRIVERS["rk45"](cfg)
+    assert fd.points[1].y == 8.0 + 0.01 * 3.0
+    slopes = [(t.points[1].y - t.points[0].y) / (t.points[1].x - t.points[0].x) for t in (fd, rk)]
+    assert abs(slopes[0] - slopes[1]) < 0.2
+
+
 def test_csv_lines_match_the_csv_module_on_special_values():
     """Seed rows, order-2 and order-3 diagnostics, a point past the
     diagnostics, an empty trajectory, and -0.0, subnormals, inf and nan

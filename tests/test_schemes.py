@@ -7,6 +7,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invscheme import (
     CircleSolution,
@@ -34,11 +36,8 @@ from invscheme import (
     window_j2,
 )
 from invscheme.schemes import (
-    ConicCoeffs,
-    LineCoeffs,
     advance_state,
     newton_fallback_step,
-    reduce_to_line_conic,
     scheme_targets,
     square,
     step_with_diagnostics,
@@ -48,7 +47,16 @@ from invscheme import schemes
 from invscheme.baselines import rk45_integrate
 from invscheme.exact import conic_distance
 
-from helpers import next_circle_point, next_hyperbola_point, solve_line_conic
+from helpers import (
+    ConicCoeffs,
+    LineCoeffs,
+    general_conic_line,
+    general_conic_step,
+    next_circle_point,
+    next_hyperbola_point,
+    reduced,
+    solve_line_conic,
+)
 
 FIG1_ICS = {"x0": 1.0, "y0": 8.0, "C": 2.0, "a": 1.0}
 FIG2_ICS = {"x0": 1.0, "y0": 1.0, "yp0": 1.0, "ypp0": 3.0}
@@ -379,8 +387,8 @@ def test_reduction_solution_sets_cross_validate(realization, order):
         if state is None:
             continue
         try:
-            targets = scheme_targets(state)
-            line, conic = reduce_to_line_conic(state)
+            m, _ = scheme_targets(state)
+            line, conic = reduced(state)
             prev = state.window[-1]
             d = (prev.x - state.window[-2].x, prev.y - state.window[-2].y)
             roots = []
@@ -396,7 +404,7 @@ def test_reduction_solution_sets_cross_validate(realization, order):
         for root in roots:
             # each root satisfies both pair-invariant equations
             assert abs(disc(state.window[-1], root) - state.spec.K) < 1e-9
-            assert abs(disc(state.window[-2], root) - targets.m) < 1e-9
+            assert abs(disc(state.window[-2], root) - m) < 1e-9
         # the Newton root satisfies the reduced line and conic equations
         lx = line.a * p_newton.x + line.b * p_newton.y - line.d
         q = conic
@@ -415,7 +423,7 @@ def _first_reducible(make, rng, order):
         if state is None:
             continue
         try:
-            return state, reduce_to_line_conic(state)
+            return state, reduced(state)
         except NoIntersection:
             continue
 
@@ -668,6 +676,52 @@ def test_concentric_level_sets_have_no_intersection(realization, m):
         schemes._fast_step(realization, Point2(1.0, 0.0), Point2(2.0, 0.0), 1.0, m, 0.0)
 
 
+def _outcome_repr(fn, *args):
+    try:
+        return repr(fn(*args))
+    except (NumericError, ArithmeticError, ValueError) as exc:
+        return repr(exc)
+
+
+@settings(max_examples=600, deadline=None, database=None, derandomize=True)
+@given(
+    realization=st.sampled_from([RealizationId.SL3, RealizationId.SL4]),
+    px=st.floats(0.05, 5.0),
+    py=st.floats(-5.0, 5.0),
+    angle=st.floats(-math.pi, math.pi),
+    chord=st.floats(1e-3, 0.5),
+    ratio=st.floats(1.0, 2.5),
+    side=st.sampled_from([-1.0, 0.0, 1.0]),
+)
+def test_fast_step_keeps_every_bit_of_the_general_conic_step(
+    realization, px, py, angle, chord, ratio, side
+):
+    """The (sigma, c_t) level sets and the quadratic without its zero xy
+    terms give the general-conic reduction's line and conic and the same
+    step, bit for bit, errors included.  The mesh constant is the window's
+    own pair invariant (the chord where the pair has none), and M a
+    multiple of it, so about a third of the windows reach the polish and
+    the rest halt in the reduction or the root pick."""
+    p_prev = Point2(px, py)
+    p_last = Point2(px + chord * math.cos(angle), py + chord * math.sin(angle))
+    disc = disc_i1_sl3 if realization is RealizationId.SL3 else disc_i1_sl4
+    try:
+        k = disc(p_prev, p_last)
+    except DomainViolation:
+        k = chord
+    args = (realization, p_prev, p_last, k, ratio * k)
+
+    def line(*a):
+        (la, lb, ld), (sigma, qx, qy, q0) = schemes._line(*a)
+        return (la, lb, ld), (sigma, 0.0, 1.0, qx, qy, q0)
+
+    assert _outcome_repr(line, *args) == _outcome_repr(general_conic_line, *args)
+    assert (
+        _outcome_repr(schemes._fast_step, *args, side)
+        == _outcome_repr(general_conic_step, *args, side)
+    )
+
+
 # -- carried pair invariants ------------------------------------------------------
 
 
@@ -723,7 +777,7 @@ def test_carried_values_change_no_bit(name, h, monkeypatch):
             p, j1, j2, mesh_res, scheme_res, _ = outcome
             assert j1 == window_j1(r, s.window[-2], s.window[-1], p)
             assert mesh_res == abs(disc(s.window[-1], p) - s.spec.K)
-            assert scheme_res == abs(disc(s.window[-2], p) - scheme_targets(s).m)
+            assert scheme_res == abs(disc(s.window[-2], p) - scheme_targets(s)[0])
             if s.spec.order == 3:
                 assert j2 == window_j2(r, *s.window, p)
 
