@@ -34,7 +34,7 @@ from .invariants import (
     window_j2,
 )
 from .exact import CircleSolution, HyperbolaSolution, fit_circle, fit_hyperbola
-from .group_action import GroupElement, act, flow_oracle, one_parameter
+from .group_action import GroupElement, act, one_parameter
 from .baselines import ode_rhs_library, rk45_integrate
 from .schemes import SchemeState, bootstrap, run_scheme
 from .harness import (

@@ -1,53 +1,60 @@
 """Exact solution curves for the order-2 equations.
 
 The sl3 curvature equation I1 = C has circular arcs as solutions; the sl4
-analogue has rectangular hyperbolas (x - cx)^2 - (y - cy)^2 = r^2 with
-asymptote slopes +-1.  Both families are in closed form here and serve as
-trusted references: fitting a conic with prescribed invariant C and scale
-a through a point, measuring distance from a point to the conic, and
+analogue has rectangular hyperbolas with asymptote slopes +-1.  Both are
+one family, sigma (x - cx)^2 + (y - cy)^2 = sigma r^2, with sigma = +1
+for circles and -1 for hyperbolas (x - cx)^2 - (y - cy)^2 = r^2.  They
+serve as trusted references: fitting a conic with prescribed invariant C
+and scale a through a point (radius 1/|a|, centre abscissa
+sigma (+-C/|a|)), measuring distance from a point to the conic, and
 walking along the conic by chord length.
 
-Sign conventions (derived by implicit differentiation of the conics):
-on a circle I1 = (cx / r) * sign(y - cy); on a hyperbola
-I1 = -(cx / r) * sign(y - cy).
+Sign convention (by implicit differentiation of the conic):
+I1 = sigma (cx / r) sign(y - cy).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 from .core import DomainViolation, Point2
 
 
 @dataclass(frozen=True)
-class CircleSolution:
-    """Circle (x - cx)^2 + (y - cy)^2 = r^2."""
+class _Conic:
+    """sigma (x - cx)^2 + (y - cy)^2 = sigma r^2, sigma a class constant."""
 
     cx: float
     cy: float
     r: float
+    sigma: ClassVar[float]
 
-    def point(self, theta: float) -> Point2:
-        return Point2(self.cx + self.r * math.cos(theta), self.cy + self.r * math.sin(theta))
 
-    def theta_of(self, p: Point2) -> float:
+class CircleSolution(_Conic):
+    """Circle (x - cx)^2 + (y - cy)^2 = r^2."""
+
+    sigma = 1.0
+
+    def point(self, t: float, branch: int = -1) -> Point2:
+        """Point at angle t; circles have one branch and ignore branch."""
+        return Point2(self.cx + self.r * math.cos(t), self.cy + self.r * math.sin(t))
+
+    def param(self, p: Point2) -> float:
         return math.atan2(p.y - self.cy, p.x - self.cx)
 
 
-@dataclass(frozen=True)
-class HyperbolaSolution:
+class HyperbolaSolution(_Conic):
     """Hyperbola (x - cx)^2 - (y - cy)^2 = r^2, opening left and right."""
 
-    cx: float
-    cy: float
-    r: float
+    sigma = -1.0
 
     def point(self, t: float, branch: int = -1) -> Point2:
         """Parametrized as x = cx + branch * r cosh t, y = cy + r sinh t."""
         return Point2(self.cx + branch * self.r * math.cosh(t), self.cy + self.r * math.sinh(t))
 
-    def t_of(self, p: Point2) -> float:
+    def param(self, p: Point2) -> float:
         return math.asinh((p.y - self.cy) / self.r)
 
 
@@ -59,108 +66,82 @@ def fit_circle(p0: Point2, c: float, a: float) -> list[CircleSolution]:
     passes through p0 is returned, ordered by descending center x and then
     descending center y, so callers that need one circle take the first.
     The center-x sign of each entry identifies its branch.  Raises
-    DomainViolation when no branch passes through p0 or when a = 0.
+    DomainViolation when no branch passes through p0, when a = 0, or on
+    overflow.
     """
-    if a == 0.0 or not math.isfinite(a):
-        raise DomainViolation("curvature scale a must be nonzero", a)
-    r = 1.0 / abs(a)
-    found: list[CircleSolution] = []
-    for sx in (1.0, -1.0):
-        cx = sx * c / abs(a)
-        rad = r * r - (p0.x - cx) ** 2
-        if rad < -1e-12 * r * r:
-            continue
-        root = math.sqrt(max(rad, 0.0))
-        for cy in (p0.y + root, p0.y - root):
-            cand = CircleSolution(cx, cy, r)
-            if cand not in found:
-                found.append(cand)
-    if not found:
-        raise DomainViolation(
-            f"no circle with I1 = {c}, scale {a} passes through ({p0.x}, {p0.y})"
-        )
-    found.sort(key=lambda s: (-s.cx, -s.cy))
-    return found
+    return _fit(CircleSolution, "circle", "curvature scale a", p0, c, a)
 
 
 def fit_hyperbola(p0: Point2, c: float, a: float) -> list[HyperbolaSolution]:
-    """Hyperbolas through p0 solving the sl4 equation I1 = c at scale a.
+    """Hyperbolas through p0 solving the sl4 equation I1 = c at scale a,
+    found and ordered as by fit_circle: semi-axis 1/|a|, center x -+c/|a|."""
+    return _fit(HyperbolaSolution, "hyperbola", "scale a", p0, c, a)
 
-    The semi-axis is 1/|a| and the center x is -+c/|a|; each center-x sign
-    branch contributes up to two center-y roots.  All candidates through p0
-    are returned, ordered by descending center x and then descending center
-    y.  Raises DomainViolation when no branch passes through p0 or a = 0.
-    """
+
+def _fit(cls: type, noun: str, scale: str, p0: Point2, c: float, a: float) -> list:
     if a == 0.0 or not math.isfinite(a):
-        raise DomainViolation("scale a must be nonzero", a)
+        raise DomainViolation(f"{scale} must be nonzero", a)
     r = 1.0 / abs(a)
-    found: list[HyperbolaSolution] = []
+    found = []
     for sx in (1.0, -1.0):
-        cx = -sx * c / abs(a)
-        rad = (p0.x - cx) ** 2 - r * r
+        cx = cls.sigma * sx * c / abs(a)
+        try:  # sigma (r^2 - (x0 - cx)^2), in a form that keeps an exact zero +0.0
+            rad = cls.sigma * (r * r) - cls.sigma * (p0.x - cx) ** 2
+        except OverflowError:
+            raise DomainViolation(f"{noun} with I1 = {c}, scale {a} overflows", p0.x) from None
         if rad < -1e-12 * r * r:
             continue
         root = math.sqrt(max(rad, 0.0))
         for cy in (p0.y + root, p0.y - root):
-            cand = HyperbolaSolution(cx, cy, r)
+            cand = cls(cx, cy, r)
             if cand not in found:
                 found.append(cand)
     if not found:
         raise DomainViolation(
-            f"no hyperbola with I1 = {c}, scale {a} passes through ({p0.x}, {p0.y})"
+            f"no {noun} with I1 = {c}, scale {a} passes through ({p0.x}, {p0.y})"
         )
     found.sort(key=lambda s: (-s.cx, -s.cy))
     return found
 
 
-def conic_distance(sol: CircleSolution | HyperbolaSolution, p: Point2) -> float:
+def conic_distance(sol: _Conic, p: Point2) -> float:
     """Geometric distance from p to the conic.
 
     Exact for circles; for hyperbolas the algebraic residual divided by
     the local gradient magnitude, which is first-order exact.
     """
-    if isinstance(sol, CircleSolution):
-        return abs(math.hypot(p.x - sol.cx, p.y - sol.cy) - sol.r)
-    dx = p.x - sol.cx
-    dy = p.y - sol.cy
+    dx, dy = p.x - sol.cx, p.y - sol.cy
+    if sol.sigma > 0.0:
+        return abs(math.hypot(dx, dy) - sol.r)
     q = dx * dx - dy * dy - sol.r * sol.r
-    grad = 2.0 * math.hypot(dx, dy)
-    return abs(q) / max(grad, 1e-12)
+    return abs(q) / max(2.0 * math.hypot(dx, dy), 1e-12)
 
 
-def slope_at(sol: CircleSolution | HyperbolaSolution, p: Point2) -> float:
-    """Slope dy/dx of the conic at a point on it, by implicit differentiation.
+def slope_at(sol: _Conic, p: Point2) -> float:
+    """Slope dy/dx = -sigma (x - cx) / (y - cy) of the conic at a point on it.
 
     Raises DomainViolation where the tangent is vertical (the circle's
     leftmost and rightmost points, the hyperbola's vertices).
     """
-    dx = p.x - sol.cx
-    dy = p.y - sol.cy
+    dx, dy = p.x - sol.cx, p.y - sol.cy
     if dy == 0.0:
         raise DomainViolation("vertical tangent on the conic", p.x)
-    if isinstance(sol, CircleSolution):
-        return -dx / dy
-    return dx / dy
+    return -sol.sigma * dx / dy
 
 
-def param_of(sol: CircleSolution | HyperbolaSolution, p: Point2) -> float:
+def param_of(sol: _Conic, p: Point2) -> float:
     """Parameter of a point on the conic (angle or hyperbolic parameter)."""
-    if isinstance(sol, CircleSolution):
-        return sol.theta_of(p)
-    return sol.t_of(p)
+    return sol.param(p)
 
 
-def point_at(sol: CircleSolution | HyperbolaSolution, t: float, branch: int = -1) -> Point2:
+def point_at(sol: _Conic, t: float, branch: int = -1) -> Point2:
     """Point of the conic at a parameter value; branch picks a hyperbola's
     left (-1) or right (+1) branch, and circles ignore it."""
-    if isinstance(sol, CircleSolution):
-        return sol.point(t)
     return sol.point(t, branch)
 
 
 def next_chord_point(
-    sol: CircleSolution | HyperbolaSolution, t: float, chord: float, direction: float,
-    branch: int = -1,
+    sol: _Conic, t: float, chord: float, direction: float, branch: int = -1
 ) -> float:
     """Parameter one Euclidean chord step away along the conic.
 
@@ -171,7 +152,7 @@ def next_chord_point(
     """
     if not (0.0 < chord and math.isfinite(chord)):
         raise DomainViolation("chord must be positive", chord)
-    if isinstance(sol, CircleSolution):
+    if sol.sigma > 0.0:
         half = chord / (2.0 * sol.r)
         if half > 1.0:
             raise DomainViolation("chord longer than the diameter", chord)

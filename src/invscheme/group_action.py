@@ -8,18 +8,15 @@ The three generator fields close into sl(2,R) in two ways on x > 0:
 In the complex coordinate z = y + ix the sl3 fields are d/dz, z d/dz,
 z^2 d/dz, so the finite action is the real Moebius map z -> (az+b)/(cz+d).
 In light-cone coordinates z = y + x, w = y - x the sl4 fields act the same
-way on each coordinate separately.  The flow oracle integrates the
-generator fields directly and is kept independent of the matrix formulas.
+way on each coordinate separately.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 from .core import DomainViolation, Point2, RealizationId
-from .baselines import rk45_integrate
 
 
 @dataclass(frozen=True)
@@ -91,42 +88,3 @@ def act(g: GroupElement, p: Point2, realization: RealizationId) -> Point2:
     if realization is RealizationId.SL3:
         return act_sl3(g, p)
     return act_sl4(g, p)
-
-
-def generator_field(
-    realization: RealizationId, index: int
-) -> Callable[[Point2], tuple[float, float]]:
-    """The vector field X_index as a callable (x, y) -> (dx, dy)."""
-    if index == 1:
-        return lambda p: (0.0, 1.0)
-    if index == 2:
-        return lambda p: (p.x, p.y)
-    if index == 3:
-        if realization is RealizationId.SL3:
-            return lambda p: (2.0 * p.x * p.y, p.y * p.y - p.x * p.x)
-        return lambda p: (2.0 * p.x * p.y, p.x * p.x + p.y * p.y)
-    raise ValueError(f"generator index must be 1, 2 or 3, got {index}")
-
-
-def flow_oracle(realization: RealizationId, index: int, t: float, p: Point2) -> Point2:
-    """Flow of X_index for time t starting at p, by direct integration.
-
-    Independent of the matrix formulas; used to validate them.  Raises
-    DomainViolation if the flow leaves the half plane before time t.
-    """
-    field = generator_field(realization, index)
-
-    def rhs(s: float, state: list[float]) -> list[float]:
-        if state[0] <= 0.0:
-            raise DomainViolation("flow left the half plane", state[0])
-        dx, dy = field(Point2(state[0], state[1]))
-        return [dx, dy]
-
-    res = rk45_integrate(rhs, 0.0, [p.x, p.y], t, rtol=1e-12, atol=1e-13)
-    if res.status != "ok":
-        raise DomainViolation(f"flow failed before time {t}: {res.status} ({res.detail})")
-    x_new, y_new = res.states[-1]
-    if x_new <= 0.0:
-        raise DomainViolation("flow left the half plane", x_new)
-    return Point2(x_new, y_new)
-

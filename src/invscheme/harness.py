@@ -45,7 +45,6 @@ from .core import (
     Trajectory,
 )
 from .exact import (
-    CircleSolution,
     conic_distance,
     fit_circle,
     fit_hyperbola,
@@ -323,15 +322,13 @@ def _exact_conic(cfg: ExperimentConfig):
     return fit(p0, cfg.ics["C"], cfg.ics["a"])[0]
 
 
-def _conic_branch_y(sol, x: float, branch: float) -> float:
+def _conic_branch_y(sol, x: float, y0: float) -> float:
+    """Ordinate at x on the half of the conic (above or below cy) holding y0."""
     dx = x - sol.cx
-    if isinstance(sol, CircleSolution):
-        rad = sol.r * sol.r - dx * dx
-    else:
-        rad = dx * dx - sol.r * sol.r
+    rad = sol.sigma * (sol.r * sol.r) - sol.sigma * dx * dx
     if rad < 0.0:
         raise DomainViolation("abscissa outside the conic's x range", x)
-    return sol.cy + branch * math.sqrt(rad)
+    return sol.cy + (1.0 if y0 >= sol.cy else -1.0) * math.sqrt(rad)
 
 
 def _initial_slope(cfg: ExperimentConfig) -> float:
@@ -345,12 +342,11 @@ def _initial_slope(cfg: ExperimentConfig) -> float:
         return cfg.ics["yp0"]
     sol = _exact_conic(cfg)
     x0, y0 = cfg.ics["x0"], cfg.ics["y0"]
-    branch = 1.0 if y0 >= sol.cy else -1.0
     try:
         return slope_at(sol, Point2(x0, y0))
     except DomainViolation:
         xn = x0 + 1e-6
-        return slope_at(sol, Point2(xn, _conic_branch_y(sol, xn, branch)))
+        return slope_at(sol, Point2(xn, _conic_branch_y(sol, xn, y0)))
 
 
 # Each driver returns the trajectory and how many of its points are seeds.
@@ -369,9 +365,7 @@ def _drive_standard_fd(cfg: ExperimentConfig) -> tuple[Trajectory, int]:
         if "yp0" in ics:
             ys = [ics["y0"], ics["y0"] + cfg.h * ics["yp0"]]
         else:
-            sol = _exact_conic(cfg)
-            branch = 1.0 if ics["y0"] >= sol.cy else -1.0
-            ys = [ics["y0"], _conic_branch_y(sol, x0 + cfg.h, branch)]
+            ys = [ics["y0"], _conic_branch_y(_exact_conic(cfg), x0 + cfg.h, ics["y0"])]
     else:
         problem = ode_rhs_library(cfg.realization, 3, F=cfg.f)
         curve = _ode_curve(cfg.realization, ics, cfg.f)

@@ -8,9 +8,9 @@ combinations of difference invariants that converge to I1 and I2 as the mesh
 is refined.
 
 Sign convention: all square roots are principal, so discrete invariants and
-J1 are nonnegative and J1 converges to |I1|.  Along an sl3 circle solution
-with center (cx, cy) and radius r the continuous I1 equals (cx/r)*sign(y-cy);
-along an sl4 hyperbola (x-cx)^2-(y-cy)^2=r^2 it equals -(cx/r)*sign(y-cy).
+J1 are nonnegative and J1 converges to |I1|.  Along an exact conic
+sigma (x-cx)^2 + (y-cy)^2 = sigma r^2 (sigma = 1: sl3 circle, -1: sl4
+hyperbola) the continuous I1 equals sigma*(cx/r)*sign(y-cy).
 """
 
 from __future__ import annotations

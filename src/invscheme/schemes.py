@@ -620,7 +620,9 @@ def bootstrap(
     Order 2 needs x0, y0, C, a: the exact conic through (x0, y0) with
     invariant C and scale a supplies the second point one chord h along
     it, on the hyperbola branch that (x0, y0) lies on, walking toward
-    increasing y first (increasing x on ties).  Order 3
+    increasing y first (increasing x on ties).  The turning side is read
+    off the conic: the walk direction on a circle, and minus the branch
+    times the direction on a hyperbola.  Order 3
     needs x0, y0, yp0, ypp0: the reference solution comes from the
     high-accuracy adaptive integrator at tolerance 1e-12, run forward once
     and grown on demand.  Two bisections on its quintic Hermite interpolant
@@ -651,8 +653,7 @@ def bootstrap(
         direction, t1 = _pick_direction(sol, t0, h, branch)
         p1 = point_at(sol, t1, branch)
         k = disc(p0, p1)
-        t2 = next_chord_point(sol, t1, h, direction, branch)
-        side = turning_side(p0, p1, point_at(sol, t2, branch))
+        side = direction if sol.sigma > 0.0 else -branch * direction
         spec = SchemeSpec(realization, 2, K=k, C=c)
         return SchemeState((p0, p1), spec, None, side, (k,))
 

@@ -4,6 +4,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -16,6 +17,7 @@ from invscheme import (
     RealizationId,
     disc_i1_sl3,
     disc_i1_sl4,
+    rk45_integrate,
 )
 from invscheme.exact import _bisect_param
 from invscheme.group_action import GroupElement
@@ -48,6 +50,44 @@ def random_group_element(rng: np.random.Generator, scale: float = 1.0) -> GroupE
             s = 1.0 / math.sqrt(det)
             return GroupElement(float(a * s), float(b * s), float(c * s), float(d * s))
     raise RuntimeError("could not sample a positive-determinant element")
+
+
+def generator_field(
+    realization: RealizationId, index: int
+) -> Callable[[Point2], tuple[float, float]]:
+    """The vector field X_index as a callable (x, y) -> (dx, dy)."""
+    if index == 1:
+        return lambda p: (0.0, 1.0)
+    if index == 2:
+        return lambda p: (p.x, p.y)
+    if index == 3:
+        if realization is RealizationId.SL3:
+            return lambda p: (2.0 * p.x * p.y, p.y * p.y - p.x * p.x)
+        return lambda p: (2.0 * p.x * p.y, p.x * p.x + p.y * p.y)
+    raise ValueError(f"generator index must be 1, 2 or 3, got {index}")
+
+
+def flow_oracle(realization: RealizationId, index: int, t: float, p: Point2) -> Point2:
+    """Flow of X_index for time t starting at p, by direct integration.
+
+    Independent of the matrix formulas of act; used to validate them.
+    Raises DomainViolation if the flow leaves the half plane before time t.
+    """
+    field = generator_field(realization, index)
+
+    def rhs(s: float, state: list[float]) -> list[float]:
+        if state[0] <= 0.0:
+            raise DomainViolation("flow left the half plane", state[0])
+        dx, dy = field(Point2(state[0], state[1]))
+        return [dx, dy]
+
+    res = rk45_integrate(rhs, 0.0, [p.x, p.y], t, rtol=1e-12, atol=1e-13)
+    if res.status != "ok":
+        raise DomainViolation(f"flow failed before time {t}: {res.status} ({res.detail})")
+    x_new, y_new = res.states[-1]
+    if x_new <= 0.0:
+        raise DomainViolation("flow left the half plane", x_new)
+    return Point2(x_new, y_new)
 
 
 @dataclass(frozen=True)

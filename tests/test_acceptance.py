@@ -35,7 +35,6 @@ from invscheme import (
     disc_i1_sl4,
     fit_circle,
     fit_hyperbola,
-    flow_oracle,
     ode_rhs_library,
     one_parameter,
     read_trajectory_csv,
@@ -61,6 +60,7 @@ from invscheme.schemes import (
 )
 
 from helpers import (
+    flow_oracle,
     next_circle_point,
     next_hyperbola_point,
     random_group_element,

@@ -81,6 +81,15 @@ def test_fit_hyperbola_rejects_zero_a():
         fit_hyperbola(Point2(2.0, 5.0), 5.0, 0.0)
 
 
+@pytest.mark.parametrize("fit", [fit_circle, fit_hyperbola], ids=["circle", "hyperbola"])
+@pytest.mark.parametrize("c,a", [(2.0, 1e-300), (1e300, 1.0)], ids=["tiny-a", "huge-C"])
+def test_fit_rejects_overflow(fit, c, a):
+    """A radius or centre abscissa near 1e300 overflows (x0 - cx) ** 2; the
+    fit reports it as a DomainViolation, which every method records."""
+    with pytest.raises(DomainViolation, match="overflows"):
+        fit(Point2(1.0, 8.0), c, a)
+
+
 def test_fit_hyperbola_passes_through_point():
     for s in fit_hyperbola(Point2(2.0, 5.0), 5.0, 1.0):
         assert abs((2.0 - s.cx) ** 2 - (5.0 - s.cy) ** 2 - s.r**2) < 1e-12

@@ -13,12 +13,11 @@ from invscheme import (
     act,
     disc_i1_sl3,
     disc_i1_sl4,
-    flow_oracle,
     one_parameter,
 )
 from invscheme.group_action import act_sl3, act_sl4
 
-from helpers import IDENTITY, compose, random_group_element
+from helpers import IDENTITY, compose, flow_oracle, random_group_element
 
 
 def test_identity_action():

@@ -45,7 +45,7 @@ from invscheme.schemes import (
 )
 from invscheme import schemes
 from invscheme.baselines import rk45_integrate
-from invscheme.exact import conic_distance
+from invscheme.exact import conic_distance, next_chord_point, param_of, point_at
 
 from helpers import (
     ConicCoeffs,
@@ -889,6 +889,35 @@ def test_bootstrap_order2_walks_the_branch_of_the_start(tmp_path):
     entry = run_experiment(cfg, out_dir=str(tmp_path)).entries["invariant"]
     assert entry.error is None and entry.new_points > 0
     assert len((tmp_path / "rb_invariant.csv").read_text().splitlines()) == entry.points + 1
+
+
+def test_bootstrap_order2_side_matches_three_chord_points():
+    """The order-2 bootstrap reads its turning side off the conic.  Oracle:
+    the turning side of the seed pair and a third point one more chord h
+    along the walk.  Circles are walked both ways (with the angle up the
+    right half, against it up the left half); a hyperbola is walked with
+    its parameter, along which y grows, on either branch."""
+    rng = random.Random(19)
+    seen = set()
+    for _ in range(400):
+        realization = rng.choice((RealizationId.SL3, RealizationId.SL4))
+        ics = {
+            "x0": rng.uniform(0.05, 5.0), "y0": rng.uniform(-5.0, 5.0),
+            "C": rng.uniform(0.0, 6.0), "a": rng.choice((-1, 1)) * rng.uniform(0.2, 3.0),
+        }
+        h = rng.uniform(1e-3, 0.05)
+        try:
+            state = bootstrap(realization, 2, ics, h)
+        except DomainViolation:
+            continue
+        fit = fit_circle if realization is RealizationId.SL3 else fit_hyperbola
+        sol = fit(state.window[0], ics["C"], ics["a"])[0]
+        branch = 1 if ics["x0"] > sol.cx else -1
+        direction, t1 = schemes._pick_direction(sol, param_of(sol, state.window[0]), h, branch)
+        p2 = point_at(sol, next_chord_point(sol, t1, h, direction, branch), branch)
+        assert state.side == turning_side(*state.window, p2) != 0.0
+        seen.add((sol.sigma, branch if sol.sigma < 0.0 else 0, direction))
+    assert seen == {(1.0, 0, 1.0), (1.0, 0, -1.0), (-1.0, 1, 1.0), (-1.0, -1, 1.0)}
 
 
 def test_bootstrap_k_shrinks_with_h():
