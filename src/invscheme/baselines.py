@@ -17,7 +17,9 @@ from .core import (
     NumericError,
     RealizationId,
 )
-from .invariants import JetPoint, cont_i1_sl3, cont_i1_sl4, cont_i2_sl3, cont_i2_sl4
+from .invariants import (
+    JetPoint, _i1_sl3, _i1_sl4, cont_i1_sl3, cont_i1_sl4, cont_i2_sl3, cont_i2_sl4,
+)
 
 
 # -- midpoint stencils for the 4-point scheme --------------------------------
@@ -91,6 +93,21 @@ def _solved_ypp(realization: RealizationId, c: float) -> Callable[[float, float]
             return (c * e**1.5 - yp * e) / x
 
     return ypp
+
+
+@dataclass(frozen=True)
+class SolvedOrder2:
+    """rhs(x, (y, y')) = [y', top(x, y')] of an order-2 library system.
+
+    Both realizations contain X1 = d_y, so y'' = top(x, y') never reads y;
+    rk45_integrate uses that to skip y in its trial stages.
+    """
+
+    top: Callable[[float, float], float]
+
+    def __call__(self, x: float, s: Sequence[float]) -> list[float]:
+        yp = s[1]
+        return [yp, self.top(x, yp)]
 
 
 def expanded_residual_sl3(x: float, yp: float, ypp: float, yppp: float) -> float:
@@ -168,17 +185,12 @@ def ode_rhs_library(
     if order == 2:
         if C is None:
             raise ValueError("order-2 ODE needs C")
-        cont_i1 = cont_i1_sl3 if realization is RealizationId.SL3 else cont_i1_sl4
-        solved = _solved_ypp(realization, C)
+        i1 = _i1_sl3 if realization is RealizationId.SL3 else _i1_sl4
 
         def residual2(x: float, yp: float, ypp: float) -> float:
-            return cont_i1(JetPoint(x, yp, ypp)) - C
+            return i1(x, yp, ypp) - C
 
-        def rhs2(x: float, s: Sequence[float]) -> list[float]:
-            yp = s[1]
-            return [yp, solved(x, yp)]
-
-        return OdeProblem(residual2, rhs2)
+        return OdeProblem(residual2, SolvedOrder2(_solved_ypp(realization, C)))
 
     if order == 3:
         if F is None:
@@ -360,89 +372,41 @@ def _trial(
 
 
 def _trial2(
-    rhs: Callable[[float, Sequence[float]], list[float]],
+    top: Callable[[float, float], float],
     x: float,
     y: list[float],
     h: float,
     rtol: float,
     atol: float,
 ) -> Optional[tuple[list[float], float]]:
-    """_trial for a two-component state, unrolled into float locals.
+    """_trial for the system (y, y')' = (y', top(x, y')), unrolled into floats.
 
-    It performs _trial's floating-point operations in _trial's order, so
-    both return the same bits: h * a_ij is formed before it meets k_j,
-    stage sums run left to right from y and skip the zero a_72, and the
-    weighted sums start at 0.0 and keep their zero-weight terms.  u_i and
-    v_i are components 0 and 1 of stage i's derivative.
+    The derivative of y at a stage is that stage's y', so u_i, component 0
+    of stage i's derivative, is the stage sum of y' and the stage sums of y
+    are never formed.  Everything else is _trial's floating-point
+    operations in _trial's order, so both return the same bits: h * a_ij is
+    formed before it meets k_j, stage sums run left to right from y' and
+    skip the zero a_72, and the weighted sums start at 0.0 and keep their
+    zero-weight terms.  v_i is top's value at stage i.
     """
     y0 = y[0]
-    y1 = y[1]
+    u1 = y[1]
     try:
-        k = rhs(x + 0.0 * h, [y0, y1])
-        u1 = k[0]
-        v1 = k[1]
-        h21 = h * _A21
-        k = rhs(x + _C2 * h, [y0 + h21 * u1, y1 + h21 * v1])
-        u2 = k[0]
-        v2 = k[1]
-        h31 = h * _A31
-        h32 = h * _A32
-        k = rhs(x + _C3 * h, [y0 + h31 * u1 + h32 * u2, y1 + h31 * v1 + h32 * v2])
-        u3 = k[0]
-        v3 = k[1]
-        h41 = h * _A41
-        h42 = h * _A42
-        h43 = h * _A43
-        k = rhs(
-            x + _C4 * h,
-            [y0 + h41 * u1 + h42 * u2 + h43 * u3, y1 + h41 * v1 + h42 * v2 + h43 * v3],
-        )
-        u4 = k[0]
-        v4 = k[1]
-        h51 = h * _A51
-        h52 = h * _A52
-        h53 = h * _A53
-        h54 = h * _A54
-        k = rhs(
-            x + _C5 * h,
-            [
-                y0 + h51 * u1 + h52 * u2 + h53 * u3 + h54 * u4,
-                y1 + h51 * v1 + h52 * v2 + h53 * v3 + h54 * v4,
-            ],
-        )
-        u5 = k[0]
-        v5 = k[1]
-        h61 = h * _A61
-        h62 = h * _A62
-        h63 = h * _A63
-        h64 = h * _A64
-        h65 = h * _A65
-        x67 = x + 1.0 * h
-        k = rhs(
-            x67,
-            [
-                y0 + h61 * u1 + h62 * u2 + h63 * u3 + h64 * u4 + h65 * u5,
-                y1 + h61 * v1 + h62 * v2 + h63 * v3 + h64 * v4 + h65 * v5,
-            ],
-        )
-        u6 = k[0]
-        v6 = k[1]
-        h71 = h * _A71
-        h73 = h * _A73
-        h74 = h * _A74
-        h75 = h * _A75
-        h76 = h * _A76
-        k = rhs(
-            x67,
-            [
-                y0 + h71 * u1 + h73 * u3 + h74 * u4 + h75 * u5 + h76 * u6,
-                y1 + h71 * v1 + h73 * v3 + h74 * v4 + h75 * v5 + h76 * v6,
-            ],
-        )
+        v1 = top(x + 0.0 * h, u1)
+        u2 = u1 + h * _A21 * v1
+        v2 = top(x + _C2 * h, u2)
+        u3 = u1 + h * _A31 * v1 + h * _A32 * v2
+        v3 = top(x + _C3 * h, u3)
+        u4 = u1 + h * _A41 * v1 + h * _A42 * v2 + h * _A43 * v3
+        v4 = top(x + _C4 * h, u4)
+        u5 = u1 + h * _A51 * v1 + h * _A52 * v2 + h * _A53 * v3 + h * _A54 * v4
+        v5 = top(x + _C5 * h, u5)
+        u6 = u1 + h * _A61 * v1 + h * _A62 * v2 + h * _A63 * v3 + h * _A64 * v4 + h * _A65 * v5
+        v6 = top(x + 1.0 * h, u6)
+        u7 = u1 + h * _A71 * v1 + h * _A73 * v3 + h * _A74 * v4 + h * _A75 * v5 + h * _A76 * v6
+        v7 = top(x + 1.0 * h, u7)
     except _STAGE_ERRORS:
         return None
-    u7 = k[0]
-    v7 = k[1]
     y5_0 = y0 + h * (
         0.0 + _B1 * u1 + _B2 * u2 + _B3 * u3 + _B4 * u4 + _B5 * u5 + _B6 * u6 + _B7 * u7
     )
@@ -451,14 +415,14 @@ def _trial2(
     e0 = h * (
         0.0 + _E1 * u1 + _E2 * u2 + _E3 * u3 + _E4 * u4 + _E5 * u5 + _E6 * u6 + _E7 * u7
     ) / (atol + rtol * max(abs(y0), abs(y5_0)))
-    y5_1 = y1 + h * (
+    y5_1 = u1 + h * (
         0.0 + _B1 * v1 + _B2 * v2 + _B3 * v3 + _B4 * v4 + _B5 * v5 + _B6 * v6 + _B7 * v7
     )
     if not math.isfinite(y5_1):
         return None
     e1 = h * (
         0.0 + _E1 * v1 + _E2 * v2 + _E3 * v3 + _E4 * v4 + _E5 * v5 + _E6 * v6 + _E7 * v7
-    ) / (atol + rtol * max(abs(y1), abs(y5_1)))
+    ) / (atol + rtol * max(abs(u1), abs(y5_1)))
     return [y5_0, y5_1], math.sqrt((0.0 + e0 * e0 + e1 * e1) / 2)
 
 
@@ -495,10 +459,10 @@ def rk45_integrate(
     shrink the step like a rejected one, so blow-ups end in one of those
     two statuses instead of raising.
 
-    One step-size controller serves every state size.  Two-component
-    states, which every order-2 system has, take their trial steps from
-    _trial2, a scalar unrolling that returns the same bits as the generic
-    _trial that serves the rest.
+    One step-size controller serves every rhs.  An order-2 library system
+    (a SolvedOrder2) takes its trial steps from _trial2, which never forms
+    y at the stages and returns the same bits as the generic _trial that
+    serves every other rhs.
     """
     res = RkResult(xs=[x0], states=[list(state0)])
     if x_end == x0:
@@ -506,12 +470,12 @@ def rk45_integrate(
     direction = 1.0 if x_end > x0 else -1.0
     x = x0
     y = list(state0)
-    trial = _trial2 if len(state0) == 2 else _trial
+    trial, f = (_trial2, rhs.top) if isinstance(rhs, SolvedOrder2) else (_trial, rhs)
     h = direction * min(abs(x_end - x0) * 1e-2, 0.1)
     for _ in range(max_steps):
         if (x + h - x_end) * direction > 0.0:
             h = x_end - x
-        attempt = trial(rhs, x, y, h, rtol, atol)
+        attempt = trial(f, x, y, h, rtol, atol)
         if attempt is None:
             err_norm = math.inf
         else:

@@ -88,7 +88,10 @@ def _fit(cls: type, noun: str, scale: str, p0: Point2, c: float, a: float) -> li
         try:  # sigma (r^2 - (x0 - cx)^2), in a form that keeps an exact zero +0.0
             rad = cls.sigma * (r * r) - cls.sigma * (p0.x - cx) ** 2
         except OverflowError:
-            raise DomainViolation(f"{noun} with I1 = {c}, scale {a} overflows", p0.x) from None
+            rad = math.inf
+        # also catches r * r overflowing, which makes rad infinite or NaN
+        if not math.isfinite(rad):
+            raise DomainViolation(f"{noun} with I1 = {c}, scale {a} overflows", p0.x)
         if rad < -1e-12 * r * r:
             continue
         root = math.sqrt(max(rad, 0.0))

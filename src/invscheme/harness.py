@@ -18,7 +18,9 @@ index,x,y,J1,J2,meshResidual for the invariant method, whose seed rows
 read "i,x,y,,," and whose order-2 rows leave J2 blank.  Floats are written
 as %.17g, so files are byte-deterministic and re-parse exactly.  Timings
 live only in the report JSON.  The default output directory is --out, then the config's output
-field, then $INVSCHEME_OUT, then the working directory.
+field, then $INVSCHEME_OUT, then the working directory.  A rerun into the
+same directory overwrites each output in place and cuts it to its new
+length.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .baselines import ode_rhs_library, rk45_integrate, square, standard_fd_step
 from .core import (
@@ -593,13 +595,26 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> RunR
             entry.wall_seconds_per_step = sum(traj.step_seconds) / len(traj.step_seconds)
         entry.singularity = detect_singularity(traj)
         filename = f"{cfg.name}_{method}.csv"
-        with open(directory / filename, "w", newline="") as fh:
-            fh.writelines(_csv_lines(method, traj, seed))
+        _write_lines(directory / filename, _csv_lines(method, traj, seed))
         entry.file = filename
-    with open(directory / f"{cfg.name}_report.json", "w") as fh:
-        json.dump(report.as_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    report_text = json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n"
+    _write_lines(directory / f"{cfg.name}_report.json", (report_text,))
     return report
+
+
+def _write_lines(path: Path, lines: Iterable[str]) -> None:
+    """Write lines to path as they are, overwriting the file in place.
+
+    The file is opened without O_TRUNC and cut to its new length after
+    the last line.  On ext4, closing a file that was truncated to zero
+    length forces its data to disk (the auto_da_alloc heuristic for
+    replace-by-truncate), which costs a flush per rewritten output; a
+    truncate to a nonzero length does not.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    with open(fd, "w", newline="") as fh:
+        fh.writelines(lines)
+        fh.truncate()
 
 
 # -- step-cost benchmark -------------------------------------------------------

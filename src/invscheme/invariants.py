@@ -37,12 +37,17 @@ class JetPoint:
 # -- continuous invariants ---------------------------------------------------
 
 
+def _i1_sl3(x: float, yp: float, ypp: float) -> float:
+    """cont_i1_sl3 on the jet's fields as plain floats."""
+    if x <= 0.0:
+        raise DomainViolation("jet needs x > 0", x)
+    d = 1.0 + yp * yp
+    return (yp * d - x * ypp) / d**1.5
+
+
 def cont_i1_sl3(jet: JetPoint) -> float:
     """First sl3 invariant (y'(1+y'^2) - x y'') / (1+y'^2)^(3/2)."""
-    if jet.x <= 0.0:
-        raise DomainViolation("jet needs x > 0", jet.x)
-    d = 1.0 + jet.yp * jet.yp
-    return (jet.yp * d - jet.x * jet.ypp) / d**1.5
+    return _i1_sl3(jet.x, jet.yp, jet.ypp)
 
 
 def cont_i2_sl3(jet: JetPoint) -> float:
@@ -56,14 +61,19 @@ def cont_i2_sl3(jet: JetPoint) -> float:
     return (3.0 * x2 * jet.yp * jet.ypp**2 - x2 * jet.yppp * d) / d**3
 
 
+def _i1_sl4(x: float, yp: float, ypp: float) -> float:
+    """cont_i1_sl4 on the jet's fields as plain floats."""
+    if x <= 0.0:
+        raise DomainViolation("jet needs x > 0", x)
+    e = yp * yp - 1.0
+    if e <= 0.0:
+        raise DomainViolation("sl4 first invariant needs |y'| > 1", yp)
+    return (x * ypp + yp * e) / e**1.5
+
+
 def cont_i1_sl4(jet: JetPoint) -> float:
     """First sl4 invariant (x y'' + y'(y'^2-1)) / (y'^2-1)^(3/2); needs |y'| > 1."""
-    if jet.x <= 0.0:
-        raise DomainViolation("jet needs x > 0", jet.x)
-    e = jet.yp * jet.yp - 1.0
-    if e <= 0.0:
-        raise DomainViolation("sl4 first invariant needs |y'| > 1", jet.yp)
-    return (jet.x * jet.ypp + jet.yp * e) / e**1.5
+    return _i1_sl4(jet.x, jet.yp, jet.ypp)
 
 
 def cont_i2_sl4(jet: JetPoint) -> float:

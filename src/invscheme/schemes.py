@@ -512,7 +512,11 @@ def advance_state(state: SchemeState, p_next: Point2) -> SchemeState:
 
 def _pick_direction(sol, t0: float, h: float, branch: int) -> tuple[float, float]:
     """Walk direction on a conic, increasing y first and increasing x on
-    ties, with the parameter of the chord point one h along it."""
+    ties, with the parameter of the chord point one h along it.  On a
+    hyperbola y = cy + r sinh t rises with t, so the walk is +1 there; a
+    circle is probed both ways."""
+    if sol.sigma < 0.0:
+        return 1.0, next_chord_point(sol, t0, h, 1.0, branch)
     p0 = point_at(sol, t0, branch)
     probes = {}
     for d in (1.0, -1.0):

@@ -175,47 +175,37 @@ def test_rk45_max_steps():
     assert result.status == "maxSteps"
 
 
-def _faulty(rhs, fault):
-    """rhs with a call log and a fault at one stage of a trial, or none.
+def _faulty(top, fault):
+    """top(x, y') with a call log and a fault at one stage of a trial, or none.
 
-    ("raise", i) raises DomainViolation on the i-th call; ("inf", i, m)
-    puts inf into component m of the i-th result; ("zero", i) returns
-    [0.0, 0.0] from it; ("extra", i) appends a third entry to it.
+    ("raise", i) raises DomainViolation on the i-th call; ("inf", i),
+    ("nan", i) and ("zero", i) return inf, nan or +0.0 from it.
     """
     calls = []
 
-    def wrapped(x, s):
-        calls.append((x, list(s)))
-        out = rhs(x, s)
+    def wrapped(x, yp):
+        calls.append((x, yp))
+        out = top(x, yp)
         if fault is not None and fault[1] == len(calls) - 1:
             if fault[0] == "raise":
                 raise DomainViolation("stage fault", x)
-            out = list(out)
-            if fault[0] == "inf":
-                out[fault[2]] = math.inf
-            elif fault[0] == "zero":
-                out = [0.0, 0.0]
-            else:
-                out.append(1.0)
+            out = {"inf": math.inf, "nan": math.nan, "zero": 0.0}[fault[0]]
         return out
 
     return wrapped, calls
 
 
 _STAGE_FAULTS = [None] + [
-    fault
-    for i in range(7)
-    for fault in (("raise", i), ("inf", i, 0), ("inf", i, 1), ("zero", i), ("extra", i))
+    (kind, i) for i in range(7) for kind in ("raise", "inf", "nan", "zero")
 ]
 
-_TWO_COMPONENT_RHS = {
-    "sl3": lambda c: ode_rhs_library(RealizationId.SL3, 2, C=c).rhs,
-    "sl4": lambda c: ode_rhs_library(RealizationId.SL4, 2, C=c).rhs,
-    "oscillator": lambda c: lambda x, s: [s[1], -s[0]],
+_ORDER2_TOPS = {
+    "sl3": lambda c: ode_rhs_library(RealizationId.SL3, 2, C=c).rhs.top,
+    "sl4": lambda c: ode_rhs_library(RealizationId.SL4, 2, C=c).rhs.top,
     # Constant, so that a stage fault stays in its stage.  Its -0.0, with
     # one stage's +0.0 from a "zero" fault, makes every term of a weighted
     # sum -0.0, so a sum that drops its leading 0.0 shows in the sign.
-    "still": lambda c: lambda x, s: [-0.0, -0.0],
+    "still": lambda c: lambda x, yp: -0.0,
 }
 
 
@@ -229,36 +219,45 @@ _TWO_COMPONENT_RHS = {
     tols=st.sampled_from([(1e-8, 1e-10), (1e-12, 1e-13)]),
 )
 def test_trial2_returns_the_bits_of_the_generic_trial(c, x, y, h_sign, h_exp, tols):
-    """For every system and every stage fault, the unrolled two-component
-    trial step calls rhs at the same stage points and returns the same
-    bits as the generic one.  repr tells signed zeros apart and lets NaN
-    equal NaN."""
+    """For both realizations' order-2 library systems and every stage
+    fault, the y-free trial step _trial2(rhs.top, ...) calls top at the
+    same stage points as the generic _trial(rhs, ...) and returns the same
+    bits, None for a failed stage included.  repr tells signed zeros apart
+    and lets NaN equal NaN."""
     h = h_sign * 10.0**h_exp
     rtol, atol = tols
-    for system, make in _TWO_COMPONENT_RHS.items():
+    for system, make in _ORDER2_TOPS.items():
         for fault in _STAGE_FAULTS:
-            outcomes = []
-            for trial in (_trial, _trial2):
-                rhs, calls = _faulty(make(c), fault)
-                outcomes.append(repr((trial(rhs, x, list(y), h, rtol, atol), calls)))
-            assert outcomes[0] == outcomes[1], (system, fault)
+            top, generic_calls = _faulty(make(c), fault)
+            generic = _trial(baselines.SolvedOrder2(top), x, list(y), h, rtol, atol)
+            top, calls = _faulty(make(c), fault)
+            unrolled = _trial2(top, x, list(y), h, rtol, atol)
+            assert repr((unrolled, calls)) == repr((generic, generic_calls)), (system, fault)
 
 
 @pytest.mark.parametrize(
     "state0, used",
-    [([1.0], "_trial"), ([1.0, 0.0], "_trial2"), ([1.0, 0.0, 0.5], "_trial")],
+    [([1.0, 0.0], "_trial"), ([8.0, 1.5], "_trial2"), ([1.0, 0.0, 0.5], "_trial")],
 )
 def test_rk45_picks_the_trial_by_state_size(monkeypatch, state0, used):
-    """Two-component states take every trial step from _trial2, others from _trial."""
+    """Order-2 library systems, whose y'' never reads y, take every trial
+    step from the y-free _trial2; any other rhs takes _trial, a
+    y-dependent two-component one included."""
     calls = []
     for name in ("_trial", "_trial2"):
         fn = getattr(baselines, name)
         monkeypatch.setattr(baselines, name, lambda *a, _n=name, _f=fn: calls.append(_n) or _f(*a))
     n = len(state0)
-    result = rk45_integrate(lambda x, s: [s[(m + 1) % n] for m in range(n)], 0.0, state0, 1.0)
-    assert result.status == "ok"
-    assert set(calls) == {used}
-    assert len(calls) >= len(result.xs) - 1 > 0
+    if used == "_trial2":
+        systems = [ode_rhs_library(r, 2, C=1.0).rhs for r in RealizationId]
+    else:
+        systems = [lambda x, s: [s[(m + 1) % n] for m in range(n)]]
+    for rhs in systems:
+        calls.clear()
+        result = rk45_integrate(rhs, 1.0, state0, 1.5)
+        assert result.status == "ok"
+        assert set(calls) == {used}
+        assert len(calls) >= len(result.xs) - 1 > 0
 
 
 # -- ODE library ---------------------------------------------------------------
@@ -269,6 +268,38 @@ def test_order2_residual_is_invariant_minus_constant():
     jet = JetPoint(x=2.3, yp=0.5, ypp=-1.0)
     want = cont_i1_sl3(jet) - 2.0
     assert abs(problem.residual(2.3, 0.5, -1.0) - want) < 1e-14
+
+
+@pytest.mark.parametrize("realization", list(RealizationId), ids=lambda r: r.value)
+def test_order2_residual_is_the_jet_invariant_to_the_bit(realization):
+    """The order-2 residual takes I1 on plain floats and equals
+    cont_i1(JetPoint(x, y', y'')) - C to the bit; outside the domain
+    (x <= 0, and |y'| <= 1 for sl4) both raise the same DomainViolation."""
+    cont_i1 = cont_i1_sl3 if realization is RealizationId.SL3 else cont_i1_sl4
+    c = 1.75
+    residual = ode_rhs_library(realization, 2, C=c).residual
+    rng = random.Random(41)
+    jets = [
+        (rng.uniform(-1.0, 4.0), rng.uniform(-3.0, 3.0), rng.uniform(-5.0, 5.0))
+        for _ in range(400)
+    ]
+    jets += [(0.0, 2.0, 1.0), (-0.0, 2.0, 1.0), (-1.0, 2.0, 1.0), (1.0, 1.0, 0.5),
+             (1.0, -1.0, 0.5), (1.0, 0.0, 0.0), (1.0, -0.0, -0.0), (1e-300, 3.0, 1e300)]
+
+    def outcome(fn, *args):
+        try:
+            return repr(fn(*args))
+        except DomainViolation as exc:
+            return ("DomainViolation", str(exc), repr(exc.location))
+
+    kinds = set()
+    for x, yp, ypp in jets:
+        want = outcome(lambda: cont_i1(JetPoint(x, yp, ypp)) - c)
+        assert outcome(residual, x, yp, ypp) == want, (x, yp, ypp)
+        kinds.add(want[1] if isinstance(want, tuple) else "value")
+    assert kinds == {"value", "jet needs x > 0"} | (
+        {"sl4 first invariant needs |y'| > 1"} if realization is RealizationId.SL4 else set()
+    )
 
 
 def test_order3_solved_form_consistency_sl3():

@@ -219,6 +219,54 @@ def test_failing_methods_become_report_entries(tmp_path):
     assert all(m["error"] for m in payload["methods"].values())
 
 
+@pytest.mark.parametrize("name", ["fig1", "fig2"])
+def test_rerun_rewrites_every_output_in_place(tmp_path, name):
+    """A rerun into the same directory with a smaller step budget leaves
+    each CSV byte-identical to the smaller run's in a fresh directory:
+    the longer run's tail is cut off."""
+    raw = _builtin(name).as_raw()
+    raw["methods"] = ["invariant", "standardFD", "rk45"]
+    again, fresh = tmp_path / "again", tmp_path / "fresh"
+    run_experiment(config_from_raw(dict(raw, maxSteps=60)), str(again))
+    longer = (again / f"{name}_invariant.csv").read_bytes()
+    short = config_from_raw(dict(raw, maxSteps=20))
+    run_experiment(short, str(again))
+    run_experiment(short, str(fresh))
+    assert len((fresh / f"{name}_invariant.csv").read_bytes()) < len(longer)
+    for method in raw["methods"]:
+        csv_name = f"{name}_{method}.csv"
+        assert (again / csv_name).read_bytes() == (fresh / csv_name).read_bytes(), method
+
+
+def test_run_cuts_a_longer_file_to_the_new_report(tmp_path):
+    report_path = tmp_path / "fig1_report.json"
+    report_path.write_bytes(b"junk " * 100_000)
+    raw = dict(_builtin("fig1").as_raw(), maxSteps=5)
+    report = run_experiment(config_from_raw(raw), str(tmp_path))
+    want = json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n"
+    assert report_path.read_bytes() == want.encode()
+
+
+@pytest.mark.parametrize("realization", ["sl3", "sl4"])
+def test_overflowing_fit_is_recorded_by_every_method(tmp_path, capsys, realization):
+    """C = 0 and a = 1e-300 give a conic of radius 1e300, whose r * r
+    overflows; every method records that instead of a later symptom, and
+    the command exits 2 with nothing on standard error."""
+    raw = {
+        "name": "huge", "realization": realization, "order": "Second",
+        "x0": 1.0, "y0": 8.0, "C": 0.0, "a": 1e-300,
+        "methods": ["invariant", "standardFD", "rk45"],
+    }
+    report = run_experiment(config_from_raw(raw), str(tmp_path))
+    noun = "circle" if realization == "sl3" else "hyperbola"
+    for entry in report.entries.values():
+        assert entry.error == f"DomainViolation: {noun} with I1 = 0.0, scale 1e-300 overflows"
+    cfg_path = tmp_path / "huge.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert cli_main(["run", str(cfg_path), "--out", str(tmp_path / "cli")]) == 2
+    assert capsys.readouterr().err == ""
+
+
 def test_empty_method_list_yields_empty_report(tmp_path):
     """config_from_raw rejects an empty method list, but a config built in
     code may still carry one; run_experiment then writes an empty report."""

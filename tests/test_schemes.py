@@ -920,6 +920,36 @@ def test_bootstrap_order2_side_matches_three_chord_points():
     assert seen == {(1.0, 0, 1.0), (1.0, 0, -1.0), (-1.0, 1, 1.0), (-1.0, -1, 1.0)}
 
 
+@pytest.mark.parametrize(
+    "realization, ics, solves",
+    [
+        (RealizationId.SL3, FIG1_ICS, 2),
+        (RealizationId.SL4, FIG3_ICS, 1),
+        (RealizationId.SL4, {"x0": 5.0, "y0": 5.0, "C": 5.0, "a": 1.0}, 1),
+    ],
+    ids=["circle", "hyperbola-left", "hyperbola-right"],
+)
+def test_bootstrap_order2_chord_solves(monkeypatch, realization, ics, solves):
+    """A hyperbola's y = cy + r sinh t rises with t, so the order-2
+    bootstrap walks it with one chord solve, in direction +1; a circle is
+    probed both ways.  The second point is the +1 chord point, bit for bit."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return next_chord_point(*args)
+
+    monkeypatch.setattr(schemes, "next_chord_point", counting)
+    state = bootstrap(realization, 2, ics, 0.01)
+    assert len(calls) == solves
+    if realization is RealizationId.SL4:
+        p0 = Point2(ics["x0"], ics["y0"])
+        sol = fit_hyperbola(p0, ics["C"], ics["a"])[0]
+        branch = 1 if p0.x > sol.cx else -1
+        t1 = next_chord_point(sol, param_of(sol, p0), 0.01, 1.0, branch)
+        assert state.window[1] == point_at(sol, t1, branch)
+
+
 def test_bootstrap_k_shrinks_with_h():
     ks = [
         bootstrap(RealizationId.SL3, 2, FIG1_ICS, h=h).spec.K
