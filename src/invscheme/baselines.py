@@ -18,7 +18,7 @@ from .core import (
     RealizationId,
 )
 from .invariants import (
-    JetPoint, _i1_sl3, _i1_sl4, cont_i1_sl3, cont_i1_sl4, cont_i2_sl3, cont_i2_sl4,
+    JetPoint, _i1, cont_i1_sl3, cont_i1_sl4, cont_i2_sl3, cont_i2_sl4,
 )
 
 
@@ -73,24 +73,17 @@ class OdeProblem:
     rhs: Callable[[float, Sequence[float]], list[float]]
 
 
-def _solved_ypp(realization: RealizationId, c: float) -> Callable[[float, float], float]:
-    if realization is RealizationId.SL3:
+def _solved_ypp(sigma: float, c: float) -> Callable[[float, float], float]:
+    """y'' of I1 = c solved with _i1's q = y'^2 + sigma:
+    sigma (y' q - c q^(3/2)) / x, where sl4 (sigma = -1) needs q > 0."""
 
-        def ypp(x: float, yp: float) -> float:
-            if x == 0.0:
-                raise DomainViolation("second derivative undefined at x = 0", x)
-            d = 1.0 + yp * yp
-            return (yp * d - c * d**1.5) / x
-
-    else:
-
-        def ypp(x: float, yp: float) -> float:
-            if x == 0.0:
-                raise DomainViolation("second derivative undefined at x = 0", x)
-            e = yp * yp - 1.0
-            if e <= 0.0:
-                raise DomainViolation("sl4 slope left |y'| > 1", yp)
-            return (c * e**1.5 - yp * e) / x
+    def ypp(x: float, yp: float) -> float:
+        if x == 0.0:
+            raise DomainViolation("second derivative undefined at x = 0", x)
+        q = yp * yp + sigma
+        if q <= 0.0:
+            raise DomainViolation("sl4 slope left |y'| > 1", yp)
+        return (sigma * (yp * q) - sigma * (c * q**1.5)) / x
 
     return ypp
 
@@ -185,12 +178,12 @@ def ode_rhs_library(
     if order == 2:
         if C is None:
             raise ValueError("order-2 ODE needs C")
-        i1 = _i1_sl3 if realization is RealizationId.SL3 else _i1_sl4
+        sigma = 1.0 if realization is RealizationId.SL3 else -1.0
 
         def residual2(x: float, yp: float, ypp: float) -> float:
-            return i1(x, yp, ypp) - C
+            return _i1(sigma, x, yp, ypp) - C
 
-        return OdeProblem(residual2, SolvedOrder2(_solved_ypp(realization, C)))
+        return OdeProblem(residual2, SolvedOrder2(_solved_ypp(sigma, C)))
 
     if order == 3:
         if F is None:

@@ -134,19 +134,25 @@ class HaltInfo:
 
 @dataclass
 class Trajectory:
-    """Ordered points plus the per-step diagnostics that produced them.
+    """Ordered points as float columns xs, ys, plus the per-step diagnostics.
 
     For a scheme of stencil width w, diagnostics has length
-    len(points) - (w - 1): one record per accepted step.  step_seconds
+    len(xs) - (w - 1): one record per accepted step.  step_seconds
     holds the wall time of each accepted step; every harness driver fills
     it, and the rk45 driver, which times the integrator as a whole, writes
     the mean into every slot.
     """
 
-    points: list[Point2] = field(default_factory=list)
+    xs: list[float] = field(default_factory=list)
+    ys: list[float] = field(default_factory=list)
     diagnostics: list[StepDiagnostics] = field(default_factory=list)
     step_seconds: list[float] = field(default_factory=list)
     halt: Optional[HaltInfo] = None
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.xs)
+
+    @property
+    def points(self) -> list[Point2]:
+        """The points as a new list of Point2, a read-only view of the columns."""
+        return [Point2(x, y) for x, y in zip(self.xs, self.ys)]

@@ -107,13 +107,13 @@ def _fit(cls: type, noun: str, scale: str, p0: Point2, c: float, a: float) -> li
     return found
 
 
-def conic_distance(sol: _Conic, p: Point2) -> float:
-    """Geometric distance from p to the conic.
+def conic_distance(sol: _Conic, x: float, y: float) -> float:
+    """Geometric distance from the point (x, y) to the conic.
 
     Exact for circles; for hyperbolas the algebraic residual divided by
     the local gradient magnitude, which is first-order exact.
     """
-    dx, dy = p.x - sol.cx, p.y - sol.cy
+    dx, dy = x - sol.cx, y - sol.cy
     if sol.sigma > 0.0:
         return abs(math.hypot(dx, dy) - sol.r)
     q = dx * dx - dy * dy - sol.r * sol.r

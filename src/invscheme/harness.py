@@ -33,7 +33,8 @@ import os
 import statistics
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -282,22 +283,18 @@ class SingularityFlag:
 
 
 def _singularities(traj: Trajectory) -> Iterator[SingularityFlag]:
-    pts = traj.points
-    for j in range(len(pts) - 1):
-        dx = pts[j + 1].x - pts[j].x
-        dy = pts[j + 1].y - pts[j].y
+    """Every secant blow-up (|dy/dx| > 1e4) and x-reversal, in order."""
+    xs, ys = traj.xs, traj.ys
+    for j in range(len(xs) - 1):
+        dx = xs[j + 1] - xs[j]
+        dy = ys[j + 1] - ys[j]
         if j >= 1:
-            dx_prev = pts[j].x - pts[j - 1].x
+            dx_prev = xs[j] - xs[j - 1]
             if dx_prev * dx < 0.0:
-                yield SingularityFlag(pts[j].x, "tangent-crossing")
+                yield SingularityFlag(xs[j], "tangent-crossing")
                 continue
         if abs(dy) > 1e4 * abs(dx):
-            yield SingularityFlag(pts[j + 1].x, "blow-up")
-
-
-def all_singularities(traj: Trajectory) -> list[SingularityFlag]:
-    """Every secant blow-up (|dy/dx| > 1e4) and x-reversal, in order."""
-    return list(_singularities(traj))
+            yield SingularityFlag(xs[j + 1], "blow-up")
 
 
 def detect_singularity(traj: Trajectory) -> Optional[SingularityFlag]:
@@ -307,7 +304,7 @@ def detect_singularity(traj: Trajectory) -> Optional[SingularityFlag]:
     (kind "blow-up") or where dx changes sign, i.e. the trajectory crossed
     a vertical tangent (kind "tangent-crossing").
     """
-    if len(traj.points) < 3:
+    if len(traj.xs) < 3:
         return None
     return next(_singularities(traj), None)
 
@@ -373,9 +370,9 @@ def _drive_standard_fd(cfg: ExperimentConfig) -> tuple[Trajectory, int]:
         curve = _ode_curve(cfg.realization, ics, cfg.f)
         ys = [curve(x0 + i * cfg.h).y for i in range(3)]
     width = cfg.order
-    traj = Trajectory(points=[Point2(x0 + i * cfg.h, y) for i, y in enumerate(ys)])
+    traj = Trajectory([x0 + i * cfg.h for i in range(len(ys))], ys)
     for _ in range(cfg.max_steps):
-        i = len(traj.points)
+        i = len(ys)
         x_next = x0 + i * cfg.h
         x1 = x0 + (i - width + 1) * cfg.h
         guess = 2.0 * ys[-1] - ys[-2]
@@ -389,8 +386,8 @@ def _drive_standard_fd(cfg: ExperimentConfig) -> tuple[Trajectory, int]:
             traj.halt = HaltInfo("numericError", x=x_next, detail=str(exc))
             return traj, width
         traj.step_seconds.append(time.perf_counter() - t0)
+        traj.xs.append(x_next)
         ys.append(y_next)
-        traj.points.append(Point2(x_next, y_next))
         if abs(y_next) > 1e8:
             traj.halt = HaltInfo("singularityDetected", x=x_next, detail="|y| > 1e8")
             return traj, width
@@ -400,7 +397,7 @@ def _drive_standard_fd(cfg: ExperimentConfig) -> tuple[Trajectory, int]:
                 detail=f"left [{cfg.x_window[0]}, {cfg.x_window[1]}]",
             )
             return traj, width
-    traj.halt = HaltInfo("maxSteps", x=traj.points[-1].x, detail=f"{cfg.max_steps} steps")
+    traj.halt = HaltInfo("maxSteps", x=traj.xs[-1], detail=f"{cfg.max_steps} steps")
     return traj, width
 
 
@@ -421,15 +418,15 @@ def _drive_rk45(cfg: ExperimentConfig) -> tuple[Trajectory, int]:
         rtol=_RK_RTOL, atol=_RK_ATOL,
     )
     elapsed = time.perf_counter() - t0
-    pts = [Point2(x, st[0]) for x, st in zip(result.xs, result.states)]
     halt = HaltInfo(
         _RK_STATUS.get(result.status, result.status),
         x=result.halt_x,
         detail=result.detail,
     )
     # The integrator is timed as a whole, so every step gets the mean.
-    steps = max(1, len(pts) - 1)
-    return Trajectory(points=pts, halt=halt, step_seconds=[elapsed / steps] * steps), 1
+    steps = max(1, len(result.xs) - 1)
+    ys = [st[0] for st in result.states]
+    return Trajectory(result.xs, ys, halt=halt, step_seconds=[elapsed / steps] * steps), 1
 
 
 _DRIVERS = {
@@ -444,25 +441,25 @@ _DRIVERS = {
 
 def _csv_lines(method: str, traj: Trajectory, seed: int) -> Iterator[str]:
     """One method's CSV in the module docstring's format, one %-format per line."""
-    pts = traj.points
+    rows = enumerate(zip(traj.xs, traj.ys))
     if method != "invariant":
         yield "index,x,y\r\n"
-        for i, p in enumerate(pts):
-            yield "%d,%.17g,%.17g\r\n" % (i, p.x, p.y)
+        for i, (x, y) in rows:
+            yield "%d,%.17g,%.17g\r\n" % (i, x, y)
         return
     yield "index,x,y,J1,J2,meshResidual\r\n"
     diags = traj.diagnostics
     stepped = range(seed, seed + len(diags))
-    for i, p in enumerate(pts):
+    for i, (x, y) in rows:
         if i not in stepped:
-            yield "%d,%.17g,%.17g,,,\r\n" % (i, p.x, p.y)
+            yield "%d,%.17g,%.17g,,,\r\n" % (i, x, y)
             continue
         d = diags[i - seed]
         if d.j2 is None:
-            yield "%d,%.17g,%.17g,%.17g,,%.17g\r\n" % (i, p.x, p.y, d.j1, d.mesh_residual)
+            yield "%d,%.17g,%.17g,%.17g,,%.17g\r\n" % (i, x, y, d.j1, d.mesh_residual)
         else:
             yield "%d,%.17g,%.17g,%.17g,%.17g,%.17g\r\n" % (
-                i, p.x, p.y, d.j1, d.j2, d.mesh_residual
+                i, x, y, d.j1, d.j2, d.mesh_residual
             )
 
 
@@ -473,6 +470,11 @@ def read_trajectory_csv(path: str | Path) -> list[dict[str, float]]:
             {k: float(v) for k, v in rec.items() if v not in ("", None)}
             for rec in csv.DictReader(fh)
         ]
+
+
+def _camel(name: str) -> str:
+    head, *rest = name.split("_")
+    return head + "".join(word.title() for word in rest)
 
 
 # Halt reasons that are ordinary run outcomes rather than numeric failures.
@@ -498,25 +500,10 @@ class MethodReport:
     error: Optional[str] = None
 
     def as_dict(self) -> dict:
-        return {
-            "file": self.file,
-            "haltReason": self.halt_reason,
-            "haltX": self.halt_x,
-            "haltDetail": self.halt_detail,
-            "points": self.points,
-            "newPoints": self.new_points,
-            "xMax": self.x_max,
-            "xEnd": self.x_end,
-            "maxConicDistance": self.max_conic_distance,
-            "meshDrift": self.mesh_drift,
-            "schemeDrift": self.scheme_drift,
-            "wallSecondsPerStep": self.wall_seconds_per_step,
-            "singularity": (
-                {"x": self.singularity.x, "kind": self.singularity.kind}
-                if self.singularity else None
-            ),
-            "error": self.error,
-        }
+        """Every field but method, under its name in camelCase."""
+        raw = asdict(self)
+        del raw["method"]
+        return {_camel(name): value for name, value in raw.items()}
 
     @property
     def failed(self) -> bool:
@@ -577,17 +564,19 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> RunR
         except NumericError as exc:
             entry.error = f"{type(exc).__name__}: {exc}"
             continue
-        entry.points = len(traj.points)
-        entry.new_points = max(0, len(traj.points) - seed)
+        entry.points = len(traj.xs)
+        entry.new_points = max(0, len(traj.xs) - seed)
         if traj.halt is not None:
             entry.halt_reason = traj.halt.reason
             entry.halt_x = traj.halt.x
             entry.halt_detail = traj.halt.detail
-        if traj.points:
-            entry.x_max = max(p.x for p in traj.points)
-            entry.x_end = traj.points[-1].x
-        if conic is not None and traj.points:
-            entry.max_conic_distance = max(conic_distance(conic, p) for p in traj.points)
+        if traj.xs:
+            entry.x_max = max(traj.xs)
+            entry.x_end = traj.xs[-1]
+        if conic is not None and traj.xs:
+            entry.max_conic_distance = max(
+                conic_distance(conic, x, y) for x, y in zip(traj.xs, traj.ys)
+            )
         if method == "invariant" and traj.diagnostics:
             entry.mesh_drift = max(d.mesh_residual for d in traj.diagnostics)
             entry.scheme_drift = max(d.scheme_residual for d in traj.diagnostics)
@@ -603,17 +592,20 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> RunR
 
 
 def _write_lines(path: Path, lines: Iterable[str]) -> None:
-    """Write lines to path as they are, overwriting the file in place.
+    """Write nonempty lines to path as they are, overwriting the file in place.
 
-    The file is opened without O_TRUNC and cut to its new length after
-    the last line.  On ext4, closing a file that was truncated to zero
-    length forces its data to disk (the auto_da_alloc heuristic for
-    replace-by-truncate), which costs a flush per rewritten output; a
-    truncate to a nonzero length does not.
+    Lines reach the file object joined in chunks of at most 1024 lines,
+    one write per chunk.  The file is opened without O_TRUNC and cut to
+    its new length after the last line.  On ext4, closing a file that was
+    truncated to zero length forces its data to disk (the auto_da_alloc
+    heuristic for replace-by-truncate), which costs a flush per rewritten
+    output; a truncate to a nonzero length does not.
     """
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    it = iter(lines)
     with open(fd, "w", newline="") as fh:
-        fh.writelines(lines)
+        while chunk := "".join(islice(it, 1024)):
+            fh.write(chunk)
         fh.truncate()
 
 

@@ -37,17 +37,20 @@ class JetPoint:
 # -- continuous invariants ---------------------------------------------------
 
 
-def _i1_sl3(x: float, yp: float, ypp: float) -> float:
-    """cont_i1_sl3 on the jet's fields as plain floats."""
+def _i1(sigma: float, x: float, yp: float, ypp: float) -> float:
+    """First invariant on plain floats, (y' q - sigma x y'') / q^(3/2) with
+    q = y'^2 + sigma: sigma = 1 for sl3 and -1 for sl4, which needs q > 0."""
     if x <= 0.0:
         raise DomainViolation("jet needs x > 0", x)
-    d = 1.0 + yp * yp
-    return (yp * d - x * ypp) / d**1.5
+    q = yp * yp + sigma
+    if q <= 0.0:
+        raise DomainViolation("sl4 first invariant needs |y'| > 1", yp)
+    return (yp * q - sigma * x * ypp) / q**1.5
 
 
 def cont_i1_sl3(jet: JetPoint) -> float:
     """First sl3 invariant (y'(1+y'^2) - x y'') / (1+y'^2)^(3/2)."""
-    return _i1_sl3(jet.x, jet.yp, jet.ypp)
+    return _i1(1.0, jet.x, jet.yp, jet.ypp)
 
 
 def cont_i2_sl3(jet: JetPoint) -> float:
@@ -61,19 +64,9 @@ def cont_i2_sl3(jet: JetPoint) -> float:
     return (3.0 * x2 * jet.yp * jet.ypp**2 - x2 * jet.yppp * d) / d**3
 
 
-def _i1_sl4(x: float, yp: float, ypp: float) -> float:
-    """cont_i1_sl4 on the jet's fields as plain floats."""
-    if x <= 0.0:
-        raise DomainViolation("jet needs x > 0", x)
-    e = yp * yp - 1.0
-    if e <= 0.0:
-        raise DomainViolation("sl4 first invariant needs |y'| > 1", yp)
-    return (x * ypp + yp * e) / e**1.5
-
-
 def cont_i1_sl4(jet: JetPoint) -> float:
     """First sl4 invariant (x y'' + y'(y'^2-1)) / (y'^2-1)^(3/2); needs |y'| > 1."""
-    return _i1_sl4(jet.x, jet.yp, jet.ypp)
+    return _i1(-1.0, jet.x, jet.yp, jet.ypp)
 
 
 def cont_i2_sl4(jet: JetPoint) -> float:

@@ -706,11 +706,11 @@ def run_scheme(
     the halt record, so failures are data rather than exceptions.  A point
     that lands outside x_window is kept (it is the evidence of the exit).
     """
-    traj = Trajectory(points=list(state.window))
+    traj = Trajectory([p.x for p in state.window], [p.y for p in state.window])
     if max_steps <= 0:
         traj.halt = HaltInfo("maxSteps", x=state.window[-1].x, detail="0 steps requested")
         return traj
-    add_point, add_diag = traj.points.append, traj.diagnostics.append
+    add_x, add_y, add_diag = traj.xs.append, traj.ys.append, traj.diagnostics.append
     add_seconds, clock = traj.step_seconds.append, time.perf_counter
     t0 = clock()
     for _ in range(max_steps):
@@ -720,7 +720,8 @@ def run_scheme(
         except NumericError as exc:
             traj.halt = HaltInfo(exc.kind, x=state.window[-1].x, detail=exc.detail)
             return traj
-        add_point(p_next)
+        add_x(p_next.x)
+        add_y(p_next.y)
         add_diag(diag)
         t1 = clock()
         add_seconds(t1 - t0)
@@ -731,5 +732,5 @@ def run_scheme(
                 detail=f"left [{x_window[0]}, {x_window[1]}]",
             )
             return traj
-    traj.halt = HaltInfo("maxSteps", x=traj.points[-1].x, detail=f"{max_steps} steps")
+    traj.halt = HaltInfo("maxSteps", x=traj.xs[-1], detail=f"{max_steps} steps")
     return traj

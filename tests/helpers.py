@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from hypothesis import strategies as st
 
 from invscheme import (
     CircleSolution,
@@ -21,6 +22,7 @@ from invscheme import (
 )
 from invscheme.exact import _bisect_param
 from invscheme.group_action import GroupElement
+from invscheme.harness import _singularities
 from invscheme.invariants import _checked_sqrt
 from invscheme.schemes import _polish, reduce_to_line_conic
 
@@ -370,3 +372,74 @@ def csv_oracle_bytes(method, traj, seed) -> bytes:
     buf = io.StringIO(newline="")
     csv.writer(buf).writerows(_csv_rows(method, traj, seed))
     return buf.getvalue().encode()
+
+
+def all_singularities(traj) -> list:
+    """Every flag of the harness's singularity scan, in order."""
+    return list(_singularities(traj))
+
+
+# The order-2 equation of each realization written out on its own: an
+# oracle for the sigma forms invariants._i1 and baselines._solved_ypp.
+
+
+def i1_sl3(x: float, yp: float, ypp: float) -> float:
+    """(y'(1+y'^2) - x y'') / (1+y'^2)^(3/2)."""
+    if x <= 0.0:
+        raise DomainViolation("jet needs x > 0", x)
+    d = 1.0 + yp * yp
+    return (yp * d - x * ypp) / d**1.5
+
+
+def i1_sl4(x: float, yp: float, ypp: float) -> float:
+    """(x y'' + y'(y'^2-1)) / (y'^2-1)^(3/2); needs |y'| > 1."""
+    if x <= 0.0:
+        raise DomainViolation("jet needs x > 0", x)
+    e = yp * yp - 1.0
+    if e <= 0.0:
+        raise DomainViolation("sl4 first invariant needs |y'| > 1", yp)
+    return (x * ypp + yp * e) / e**1.5
+
+
+def solved_ypp(realization: RealizationId, c: float) -> Callable[[float, float], float]:
+    """y'' of I1 = c solved for each realization on its own."""
+    if realization is RealizationId.SL3:
+
+        def ypp(x: float, yp: float) -> float:
+            if x == 0.0:
+                raise DomainViolation("second derivative undefined at x = 0", x)
+            d = 1.0 + yp * yp
+            return (yp * d - c * d**1.5) / x
+
+    else:
+
+        def ypp(x: float, yp: float) -> float:
+            if x == 0.0:
+                raise DomainViolation("second derivative undefined at x = 0", x)
+            e = yp * yp - 1.0
+            if e <= 0.0:
+                raise DomainViolation("sl4 slope left |y'| > 1", yp)
+            return (c * e**1.5 - yp * e) / x
+
+    return ypp
+
+
+# Any float, half of the draws from those where two forms of one formula
+# could part: signed zeros, subnormals, the sl4 edge |y'| = 1, squares
+# that overflow, infinities and NaN.
+ANY_FLOAT = st.sampled_from([
+    0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1.0, -1.0, 1.0 + 2.0**-52, -1.0 - 2.0**-52,
+    1e154, -1e154, 1e300, math.inf, -math.inf, math.nan,
+]) | st.floats()
+
+
+def outcome(fn, *args) -> tuple:
+    """What fn(*args) returns or raises, comparable with ==: floats by
+    repr, which tells signed zeros apart and lets NaN equal NaN, and a
+    DomainViolation by its text and location."""
+    try:
+        return ("value", repr(fn(*args)))
+    except DomainViolation as exc:
+        return ("domainViolation", exc.detail, repr(exc.location))
+    except ArithmeticError as exc:
+        return (type(exc).__name__, str(exc))

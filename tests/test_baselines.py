@@ -30,6 +30,8 @@ from invscheme.baselines import (
     stencil_d3_4pt,
 )
 
+from helpers import ANY_FLOAT, outcome, solved_ypp
+
 
 def _nodes(xmid, h):
     return [xmid - 1.5 * h, xmid - 0.5 * h, xmid + 0.5 * h, xmid + 1.5 * h]
@@ -198,6 +200,18 @@ def _faulty(top, fault):
 _STAGE_FAULTS = [None] + [
     (kind, i) for i in range(7) for kind in ("raise", "inf", "nan", "zero")
 ]
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(c=ANY_FLOAT, x=ANY_FLOAT, yp=ANY_FLOAT)
+def test_sigma_solved_ypp_has_the_bits_of_each_realizations_formula(c, x, yp):
+    """The order-2 systems' one sigma form of y'' returns the bits of the
+    sl3 and the sl4 solution written out on its own, and raises the same
+    error text at the same location, on every float including +-0,
+    subnormals, +-inf and NaN."""
+    for realization in RealizationId:
+        top = ode_rhs_library(realization, 2, C=c).rhs.top
+        assert outcome(top, x, yp) == outcome(solved_ypp(realization, c), x, yp)
+
 
 _ORDER2_TOPS = {
     "sl3": lambda c: ode_rhs_library(RealizationId.SL3, 2, C=c).rhs.top,

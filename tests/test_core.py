@@ -76,9 +76,17 @@ def test_error_kinds():
 
 def test_trajectory_accessors():
     traj = Trajectory(
-        points=[Point2(1.0, 2.0), Point2(1.5, 2.5)],
+        xs=[1.0, 1.5],
+        ys=[2.0, 2.5],
         diagnostics=[StepDiagnostics(j1=0.5, mesh_residual=0.0, scheme_residual=0.0, iterations=1)],
         halt=HaltInfo("maxSteps", x=1.5),
     )
     assert len(traj) == 2
     assert traj.halt.reason == "maxSteps"
+
+
+def test_trajectory_points_view_pairs_the_columns():
+    traj = Trajectory(xs=[1.0, 1.5], ys=[2.0, 2.5])
+    assert traj.points == [Point2(1.0, 2.0), Point2(1.5, 2.5)]
+    traj.points.append(Point2(3.0, 4.0))
+    assert len(traj) == 2 and traj.xs == [1.0, 1.5]

@@ -97,17 +97,16 @@ def test_fit_hyperbola_passes_through_point():
 
 def test_conic_distance_circle():
     sol = CircleSolution(2.0, 8.0, 1.0)
-    assert conic_distance(sol, Point2(3.0, 8.0)) == 0.0
-    assert abs(conic_distance(sol, Point2(2.0, 8.0)) - 1.0) < 1e-15
-    assert conic_distance(sol, Point2(2.0, 9.5)) > 0.0
+    assert conic_distance(sol, 3.0, 8.0) == 0.0
+    assert abs(conic_distance(sol, 2.0, 8.0) - 1.0) < 1e-15
+    assert conic_distance(sol, 2.0, 9.5) > 0.0
 
 
 def test_conic_distance_hyperbola():
     sol = HyperbolaSolution(5.0, 5.0 + 2.0 * SQRT2, 1.0)
     on = sol.point(0.7)
-    assert conic_distance(sol, on) < 1e-12
-    off = Point2(on.x + 0.05, on.y)
-    assert conic_distance(sol, off) > 1e-3
+    assert conic_distance(sol, on.x, on.y) < 1e-12
+    assert conic_distance(sol, on.x + 0.05, on.y) > 1e-3
 
 
 def test_slope_at_matches_implicit_derivative():

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -12,13 +13,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from invscheme import harness
 from invscheme.core import Point2, StepDiagnostics, Trajectory
 from invscheme.harness import (
     _CONFIG_KEYS,
     _DRIVERS,
     ConfigError,
+    MethodReport,
+    SingularityFlag,
     _csv_lines,
-    all_singularities,
     benchmark_step_cost,
     builtin_experiments,
     cli_main,
@@ -30,7 +33,7 @@ from invscheme.harness import (
 from invscheme.invariants import disc_i1_sl3
 from invscheme.schemes import bootstrap, run_scheme
 
-from helpers import csv_oracle_bytes
+from helpers import all_singularities, csv_oracle_bytes
 
 
 def _builtin(name):
@@ -93,13 +96,13 @@ def test_config_rejects_descending_window():
 
 
 def test_straight_line_has_no_singularity():
-    pts = [Point2(0.1 + 0.01 * i, 1.0 + 0.02 * i) for i in range(100)]
-    assert detect_singularity(Trajectory(points=pts)) is None
+    xs = [0.1 + 0.01 * i for i in range(100)]
+    ys = [1.0 + 0.02 * i for i in range(100)]
+    assert detect_singularity(Trajectory(xs, ys)) is None
 
 
 def test_short_trajectories_are_never_flagged():
-    pts = [Point2(1.0, 1.0), Point2(1.0, 9.0)]
-    assert detect_singularity(Trajectory(points=pts)) is None
+    assert detect_singularity(Trajectory([1.0, 1.0], [1.0, 9.0])) is None
 
 
 def test_circle_run_flags_both_vertical_tangents():
@@ -186,7 +189,6 @@ def test_csv_lines_match_the_csv_module_on_special_values():
     diagnostics, an empty trajectory, and -0.0, subnormals, inf and nan
     format as csv.writer formats them."""
     odd = [-0.0, 5e-324, math.inf, -math.inf, math.nan, 1.0 / 3.0, 1e300, 2.0]
-    points = [Point2(odd[i], odd[-1 - i]) for i in range(len(odd))]
     diags = [
         StepDiagnostics(j1=1e-310, mesh_residual=-0.0, scheme_residual=0.0, iterations=1),
         StepDiagnostics(j1=math.nan, mesh_residual=math.inf, scheme_residual=0.0,
@@ -194,14 +196,51 @@ def test_csv_lines_match_the_csv_module_on_special_values():
         StepDiagnostics(j1=0.1, mesh_residual=3e-17, scheme_residual=0.0,
                         iterations=0, j2=-math.inf),
     ]
-    traj = Trajectory(points=points, diagnostics=diags)
-    empty = Trajectory(points=[])
+    traj = Trajectory(odd, odd[::-1], diagnostics=diags)
+    empty = Trajectory()
     for t, method, seed in (
         (traj, "invariant", 3), (traj, "invariant", 0), (traj, "rk45", 1),
         (traj, "standardFD", 2), (empty, "invariant", 3),
     ):
         text = "".join(_csv_lines(method, t, seed))
         assert text.encode() == csv_oracle_bytes(method, t, seed)
+
+
+def test_report_holds_every_field_but_method_under_its_camel_case_key():
+    entry = MethodReport(
+        "rk45", file="f.csv", halt_reason="completed", halt_x=2.0, halt_detail="d",
+        points=5, new_points=4, x_max=2.5, x_end=2.0, max_conic_distance=1e-9,
+        mesh_drift=1e-12, scheme_drift=2e-12, wall_seconds_per_step=3e-6,
+        singularity=SingularityFlag(1.5, "blow-up"), error="e",
+    )
+    raw = entry.as_dict()
+    assert sorted(raw) == sorted([
+        "file", "haltReason", "haltX", "haltDetail", "points", "newPoints", "xMax",
+        "xEnd", "maxConicDistance", "meshDrift", "schemeDrift", "wallSecondsPerStep",
+        "singularity", "error",
+    ])
+    for f in dataclasses.fields(MethodReport):
+        if f.name != "method":
+            key = re.sub(r"_([a-z])", lambda m: m.group(1).upper(), f.name)
+            value = getattr(entry, f.name)
+            assert raw[key] == (dataclasses.asdict(value) if f.name == "singularity" else value)
+    assert raw["singularity"] == {"x": 1.5, "kind": "blow-up"}
+
+
+@pytest.mark.parametrize("name", ["fig2", "fig4"])
+def test_rk45_driver_builds_no_point2(monkeypatch, name):
+    built = []
+
+    class CountingPoint2(Point2):
+        def __init__(self, x, y):
+            built.append((x, y))
+            super().__init__(x, y)
+
+    monkeypatch.setattr(harness, "Point2", CountingPoint2)
+    harness._exact_conic(_builtin("fig1"))
+    assert len(built) == 1  # the patch sees the harness's Point2s
+    traj, _ = _DRIVERS["rk45"](_builtin(name))
+    assert len(traj) > 10 and len(built) == 1
 
 
 def test_failing_methods_become_report_entries(tmp_path):

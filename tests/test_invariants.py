@@ -10,6 +10,7 @@ import random
 
 import pytest
 import sympy as sp
+from hypothesis import given, settings
 
 from invscheme import (
     DomainViolation,
@@ -28,7 +29,7 @@ from invscheme import (
 )
 from invscheme import invariants
 
-from helpers import j1_sl3, j1_sl4, j2_sl3, j2_sl4
+from helpers import ANY_FLOAT, i1_sl3, i1_sl4, j1_sl3, j1_sl4, j2_sl3, j2_sl4, outcome
 
 SQRT2 = math.sqrt(2.0)
 
@@ -94,6 +95,16 @@ def test_cont_i1_sl4_values():
 def test_cont_i1_sl4_rejects_unit_slope():
     with pytest.raises(DomainViolation):
         cont_i1_sl4(JetPoint(x=1.0, yp=1.0, ypp=1.0))
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(x=ANY_FLOAT, yp=ANY_FLOAT, ypp=ANY_FLOAT)
+def test_sigma_i1_has_the_bits_of_each_realizations_formula(x, yp, ypp):
+    """The one sigma form of I1 returns the bits of the sl3 and the sl4
+    formula written out on its own, and raises the same error text at the
+    same location, on every float including +-0, subnormals, +-inf and NaN."""
+    assert outcome(invariants._i1, 1.0, x, yp, ypp) == outcome(i1_sl3, x, yp, ypp)
+    assert outcome(invariants._i1, -1.0, x, yp, ypp) == outcome(i1_sl4, x, yp, ypp)
 
 
 def test_cont_i2_sl4_values():

@@ -884,7 +884,7 @@ def test_bootstrap_order2_walks_the_branch_of_the_start(tmp_path):
     assert sol.cx < 5.0
     state = bootstrap(cfg.realization, cfg.order, cfg.ics, cfg.h)
     for p in state.window:
-        assert conic_distance(sol, p) < 1e-12
+        assert conic_distance(sol, p.x, p.y) < 1e-12
         assert p.x > sol.cx
     entry = run_experiment(cfg, out_dir=str(tmp_path)).entries["invariant"]
     assert entry.error is None and entry.new_points > 0
