@@ -275,27 +275,6 @@ def standard_fd_step(
 
 # -- Dormand-Prince 5(4) ------------------------------------------------------
 
-_DP_C = (0.0, 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0, 1.0)
-_DP_A = (
-    (),
-    (1.0 / 5.0,),
-    (3.0 / 40.0, 9.0 / 40.0),
-    (44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0),
-    (19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0),
-    (9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0),
-    (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0),
-)
-_DP_B5 = (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0, 0.0)
-_DP_ERR = (
-    71.0 / 57600.0,
-    0.0,
-    -71.0 / 16695.0,
-    71.0 / 1920.0,
-    -17253.0 / 339200.0,
-    22.0 / 525.0,
-    -1.0 / 40.0,
-)
-
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
@@ -304,17 +283,24 @@ _BLOWUP = 1e8
 # Right-hand-side failures that reject a trial step instead of raising.
 _STAGE_ERRORS = (NumericError, ValueError, OverflowError, ZeroDivisionError)
 
-_C2, _C3, _C4, _C5 = _DP_C[1:5]
-(
-    (_A21,),
-    (_A31, _A32),
-    (_A41, _A42, _A43),
-    (_A51, _A52, _A53, _A54),
-    (_A61, _A62, _A63, _A64, _A65),
-    (_A71, _A72, _A73, _A74, _A75, _A76),
-) = _DP_A[1:]
-_B1, _B2, _B3, _B4, _B5, _B6, _B7 = _DP_B5
-_E1, _E2, _E3, _E4, _E5, _E6, _E7 = _DP_ERR
+# The Dormand-Prince tableau (Hairer, Norsett and Wanner, Solving ODEs I).
+# The fifth-order weights _Bi are the last stage row; c1 = 0 and c6 = c7 = 1.
+_C2, _C3, _C4, _C5 = 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0
+_A21 = 1.0 / 5.0
+_A31, _A32 = 3.0 / 40.0, 9.0 / 40.0
+_A41, _A42, _A43 = 44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0
+_A51, _A52, _A53, _A54 = 19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0
+_A61, _A62, _A63, _A64, _A65 = (
+    9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0
+)
+_A71, _A72, _A73, _A74, _A75, _A76 = (
+    35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0
+)
+_B1, _B2, _B3, _B4, _B5, _B6, _B7 = _A71, _A72, _A73, _A74, _A75, _A76, 0.0
+_E1, _E2, _E3, _E4, _E5, _E6, _E7 = (
+    71.0 / 57600.0, 0.0, -71.0 / 16695.0, 71.0 / 1920.0,
+    -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0,
+)
 
 
 def _trial(
@@ -325,43 +311,43 @@ def _trial(
     rtol: float,
     atol: float,
 ) -> Optional[tuple[list[float], float]]:
-    """One Dormand-Prince trial step of size h from (x, y).
-
-    Returns the fifth-order state and the RMS error norm scaled by
-    atol + rtol * max(|y|, |y5|), or None when a stage raises one of
-    _STAGE_ERRORS or the new state is not finite.
-    """
-    n = len(y)
-    k: list[list[float]] = []
+    """_trial2's stages and error norm for any rhs, one component at a time."""
     try:
-        for i in range(7):
-            xi = x + _DP_C[i] * h
-            yi = y[:]
-            ai = _DP_A[i]
-            for j, aij in enumerate(ai):
-                if aij != 0.0:
-                    kj = k[j]
-                    for m in range(n):
-                        yi[m] += h * aij * kj[m]
-            k.append(rhs(xi, yi))
+        k1 = rhs(x + 0.0 * h, y)
+        k2 = rhs(x + _C2 * h, [s + h * _A21 * a for s, a in zip(y, k1)])
+        k3 = rhs(x + _C3 * h, [s + h * _A31 * a + h * _A32 * b for s, a, b in zip(y, k1, k2)])
+        k4 = rhs(x + _C4 * h, [
+            s + h * _A41 * a + h * _A42 * b + h * _A43 * c
+            for s, a, b, c in zip(y, k1, k2, k3)
+        ])
+        k5 = rhs(x + _C5 * h, [
+            s + h * _A51 * a + h * _A52 * b + h * _A53 * c + h * _A54 * d
+            for s, a, b, c, d in zip(y, k1, k2, k3, k4)
+        ])
+        k6 = rhs(x + 1.0 * h, [
+            s + h * _A61 * a + h * _A62 * b + h * _A63 * c + h * _A64 * d + h * _A65 * e
+            for s, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)
+        ])
+        k7 = rhs(x + 1.0 * h, [
+            s + h * _A71 * a + h * _A73 * c + h * _A74 * d + h * _A75 * e + h * _A76 * f
+            for s, a, c, d, e, f in zip(y, k1, k3, k4, k5, k6)
+        ])
     except _STAGE_ERRORS:
         return None
-    y5 = y[:]
+    y5 = []
     err2 = 0.0
-    for m in range(n):
-        acc5 = 0.0
-        errm = 0.0
-        for i in range(7):
-            kim = k[i][m]
-            acc5 += _DP_B5[i] * kim
-            errm += _DP_ERR[i] * kim
-        y5[m] += h * acc5
-        if not math.isfinite(y5[m]):
+    for s, a, b, c, d, e, f, g in zip(y, k1, k2, k3, k4, k5, k6, k7):
+        s5 = s + h * (
+            0.0 + _B1 * a + _B2 * b + _B3 * c + _B4 * d + _B5 * e + _B6 * f + _B7 * g
+        )
+        if not math.isfinite(s5):
             return None
-        sc = atol + rtol * max(abs(y[m]), abs(y5[m]))
-        e = h * errm / sc
-        err2 += e * e
-    return y5, math.sqrt(err2 / n)
+        em = h * (
+            0.0 + _E1 * a + _E2 * b + _E3 * c + _E4 * d + _E5 * e + _E6 * f + _E7 * g
+        ) / (atol + rtol * max(abs(s), abs(s5)))
+        err2 += em * em
+        y5.append(s5)
+    return y5, math.sqrt(err2 / len(y))
 
 
 def _trial2(
@@ -372,15 +358,15 @@ def _trial2(
     rtol: float,
     atol: float,
 ) -> Optional[tuple[list[float], float]]:
-    """_trial for the system (y, y')' = (y', top(x, y')), unrolled into floats.
+    """One Dormand-Prince trial step of size h from (x, y) for (y, y')' =
+    (y', top(x, y')): the fifth-order state and the RMS error norm scaled by
+    atol + rtol * max(|y|, |y5|), or None when a stage raises one of
+    _STAGE_ERRORS or the new state is not finite.
 
-    The derivative of y at a stage is that stage's y', so u_i, component 0
-    of stage i's derivative, is the stage sum of y' and the stage sums of y
-    are never formed.  Everything else is _trial's floating-point
-    operations in _trial's order, so both return the same bits: h * a_ij is
-    formed before it meets k_j, stage sums run left to right from y' and
-    skip the zero a_72, and the weighted sums start at 0.0 and keep their
-    zero-weight terms.  v_i is top's value at stage i.
+    Stage i's y' is u_i, component 0 of its derivative, so the stage sums of
+    y are never formed; v_i is top's value.  h * a_ij is formed before it
+    meets k_j, stage sums run left to right and skip the zero a_72, and the
+    weighted sums start at 0.0 and keep their zero-weight terms, as in _trial.
     """
     y0 = y[0]
     u1 = y[1]
@@ -453,16 +439,14 @@ def rk45_integrate(
     two statuses instead of raising.
 
     One step-size controller serves every rhs.  An order-2 library system
-    (a SolvedOrder2) takes its trial steps from _trial2, which never forms
-    y at the stages and returns the same bits as the generic _trial that
-    serves every other rhs.
+    (a SolvedOrder2) takes its trial steps from _trial2, which returns the
+    bits of the _trial that serves every other rhs.
     """
-    res = RkResult(xs=[x0], states=[list(state0)])
+    x, y = x0, list(state0)
+    res = RkResult(xs=[x], states=[y])
     if x_end == x0:
         return res
     direction = 1.0 if x_end > x0 else -1.0
-    x = x0
-    y = list(state0)
     trial, f = (_trial2, rhs.top) if isinstance(rhs, SolvedOrder2) else (_trial, rhs)
     h = direction * min(abs(x_end - x0) * 1e-2, 0.1)
     for _ in range(max_steps):
@@ -477,7 +461,7 @@ def rk45_integrate(
             x += h
             y = y5
             res.xs.append(x)
-            res.states.append(y[:])
+            res.states.append(y)
             if abs(y[0]) > _BLOWUP:
                 res.status = "singularity"
                 res.detail = f"solution magnitude passed {_BLOWUP:g}"

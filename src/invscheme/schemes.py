@@ -657,6 +657,8 @@ def bootstrap(
         direction, t1 = _pick_direction(sol, t0, h, branch)
         p1 = point_at(sol, t1, branch)
         k = disc(p0, p1)
+        if not (math.isfinite(k) and k > 0.0):
+            raise DomainViolation(f"mesh constant K = {k!r} is not finite and positive", p1)
         side = direction if sol.sigma > 0.0 else -branch * direction
         spec = SchemeSpec(realization, 2, K=k, C=c)
         return SchemeState((p0, p1), spec, None, side, (k,))

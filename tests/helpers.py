@@ -20,6 +20,7 @@ from invscheme import (
     disc_i1_sl4,
     rk45_integrate,
 )
+from invscheme.baselines import _STAGE_ERRORS
 from invscheme.exact import _bisect_param
 from invscheme.group_action import GroupElement
 from invscheme.harness import _singularities
@@ -443,3 +444,66 @@ def outcome(fn, *args) -> tuple:
         return ("domainViolation", exc.detail, repr(exc.location))
     except ArithmeticError as exc:
         return (type(exc).__name__, str(exc))
+
+
+# The Dormand-Prince tableau as tuples, for the nested-loop trial below.
+_DP_C = (0.0, 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0, 1.0)
+_DP_A = (
+    (),
+    (1.0 / 5.0,),
+    (3.0 / 40.0, 9.0 / 40.0),
+    (44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0),
+    (19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0),
+    (9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0),
+    (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0),
+)
+_DP_B5 = (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0, 0.0)
+_DP_ERR = (
+    71.0 / 57600.0,
+    0.0,
+    -71.0 / 16695.0,
+    71.0 / 1920.0,
+    -17253.0 / 339200.0,
+    22.0 / 525.0,
+    -1.0 / 40.0,
+)
+
+
+def dp_trial_oracle(rhs, x, y, h, rtol, atol):
+    """One Dormand-Prince trial step of size h from (x, y), as nested loops
+    over stages, tableau entries and components.
+
+    Returns the fifth-order state and the RMS error norm scaled by
+    atol + rtol * max(|y|, |y5|), or None when a stage raises one of
+    baselines._STAGE_ERRORS or the new state is not finite.
+    """
+    n = len(y)
+    k = []
+    try:
+        for i in range(7):
+            xi = x + _DP_C[i] * h
+            yi = y[:]
+            for j, aij in enumerate(_DP_A[i]):
+                if aij != 0.0:
+                    kj = k[j]
+                    for m in range(n):
+                        yi[m] += h * aij * kj[m]
+            k.append(rhs(xi, yi))
+    except _STAGE_ERRORS:
+        return None
+    y5 = y[:]
+    err2 = 0.0
+    for m in range(n):
+        acc5 = 0.0
+        errm = 0.0
+        for i in range(7):
+            kim = k[i][m]
+            acc5 += _DP_B5[i] * kim
+            errm += _DP_ERR[i] * kim
+        y5[m] += h * acc5
+        if not math.isfinite(y5[m]):
+            return None
+        sc = atol + rtol * max(abs(y[m]), abs(y5[m]))
+        e = h * errm / sc
+        err2 += e * e
+    return y5, math.sqrt(err2 / n)

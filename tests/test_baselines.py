@@ -30,7 +30,7 @@ from invscheme.baselines import (
     stencil_d3_4pt,
 )
 
-from helpers import ANY_FLOAT, outcome, solved_ypp
+from helpers import ANY_FLOAT, dp_trial_oracle, outcome, solved_ypp
 
 
 def _nodes(xmid, h):
@@ -177,21 +177,27 @@ def test_rk45_max_steps():
     assert result.status == "maxSteps"
 
 
-def _faulty(top, fault):
-    """top(x, y') with a call log and a fault at one stage of a trial, or none.
+def _faulty(f, fault):
+    """top(x, y') or rhs(x, state) with a call log and a fault at one stage
+    of a trial, or none.
 
     ("raise", i) raises DomainViolation on the i-th call; ("inf", i),
-    ("nan", i) and ("zero", i) return inf, nan or +0.0 from it.
+    ("nan", i) and ("zero", i) return inf, nan or +0.0 from it, in
+    component i mod n of a state's derivative.
     """
     calls = []
 
-    def wrapped(x, yp):
-        calls.append((x, yp))
-        out = top(x, yp)
+    def wrapped(x, arg):
+        calls.append((x, arg))
+        out = f(x, arg)
         if fault is not None and fault[1] == len(calls) - 1:
             if fault[0] == "raise":
                 raise DomainViolation("stage fault", x)
-            out = {"inf": math.inf, "nan": math.nan, "zero": 0.0}[fault[0]]
+            bad = {"inf": math.inf, "nan": math.nan, "zero": 0.0}[fault[0]]
+            if isinstance(out, list):
+                out[fault[1] % len(out)] = bad
+            else:
+                out = bad
         return out
 
     return wrapped, calls
@@ -247,6 +253,49 @@ def test_trial2_returns_the_bits_of_the_generic_trial(c, x, y, h_sign, h_exp, to
             top, calls = _faulty(make(c), fault)
             unrolled = _trial2(top, x, list(y), h, rtol, atol)
             assert repr((unrolled, calls)) == repr((generic, generic_calls)), (system, fault)
+
+
+def _coupled(x, s):
+    """A y-dependent rhs whose components all meet each other and x."""
+    n = len(s)
+    return [s[(m + 1) % n] - 0.3 * x * s[m] + 0.1 * s[m] * s[m - 1] for m in range(n)]
+
+
+_SYSTEMS = {
+    "coupled": lambda n: _coupled,
+    # Constant, like "still" above: a faulted stage changes only the call
+    # log and the weighted sums that read it.
+    "still": lambda n: lambda x, s: [-0.0] * n,
+    "sl3 order 3": lambda n: ode_rhs_library(RealizationId.SL3, 3, F=square).rhs,
+    "sl4 order 3": lambda n: ode_rhs_library(RealizationId.SL4, 3, F=square).rhs,
+}
+
+
+@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@given(
+    n=st.integers(1, 4),
+    x=st.floats(1e-3, 10.0) | st.just(-0.0),
+    y=st.lists(st.floats(-6.0, 6.0) | st.just(-0.0) | st.just(0.0), min_size=4, max_size=4),
+    h_sign=st.sampled_from([1.0, -1.0]),
+    h_exp=st.floats(-7.0, 0.3),
+    tols=st.sampled_from([(1e-8, 1e-10), (1e-12, 1e-13)]),
+)
+def test_trial_returns_the_bits_of_the_nested_loop_trial(n, x, y, h_sign, h_exp, tols):
+    """The stage-by-stage _trial calls rhs at the stage points of the
+    nested-loop Dormand-Prince trial in tests/helpers.py and returns its
+    bits, None for a failed stage included, for y-dependent systems of 1 to
+    4 components, both realizations' order-3 library systems and every
+    stage fault.  repr tells signed zeros apart and lets NaN equal NaN."""
+    h = h_sign * 10.0**h_exp
+    rtol, atol = tols
+    for system, make in _SYSTEMS.items():
+        m = 3 if system.endswith("order 3") else n
+        for fault in _STAGE_FAULTS:
+            rhs, oracle_calls = _faulty(make(m), fault)
+            oracle = dp_trial_oracle(rhs, x, y[:m], h, rtol, atol)
+            rhs, calls = _faulty(make(m), fault)
+            staged = _trial(rhs, x, y[:m], h, rtol, atol)
+            assert repr((staged, calls)) == repr((oracle, oracle_calls)), (system, m, fault)
 
 
 @pytest.mark.parametrize(

@@ -412,16 +412,27 @@ def test_cli_run_unknown_experiment(capsys):
     assert "no builtin experiment or config file" in err
 
 
+# Order-2 sl4 configs whose first chord has pair invariant 0.0, so the mesh
+# constant K of the invariant scheme is zero.
+_K0_CONFIGS = [
+    {"name": "k0", "realization": "sl4", "order": "Second", "x0": 469043.97415782267,
+     "y0": 1.0, "h": 1.0, "C": 0.0, "a": 3.0, "methods": ["invariant"]},
+    {"name": "k0", "realization": "sl4", "order": "Second", "x0": 5.0, "y0": 5.0,
+     "h": 2.949237720334326e-05, "C": 3.0, "a": 1e300, "methods": ["invariant"]},
+]
+
+
 def test_cli_run_exits_2_when_every_method_fails(tmp_path, capsys):
-    cfg_path = tmp_path / "doomed.json"
-    cfg_path.write_text(json.dumps({
+    doomed = {
         "name": "doomed", "realization": "sl3", "order": "Second",
         "x0": 1.0, "y0": 8.0, "C": 2.0, "a": 0.0,
         "methods": ["invariant", "standardFD"],
-        "output": str(tmp_path),
-    }))
-    assert cli_main(["run", str(cfg_path)]) == 2
-    capsys.readouterr()
+    }
+    for i, raw in enumerate([doomed] + _K0_CONFIGS):
+        cfg_path = tmp_path / f"doomed{i}.json"
+        cfg_path.write_text(json.dumps({**raw, "output": str(tmp_path)}))
+        assert cli_main(["run", str(cfg_path)]) == 2, raw
+        assert capsys.readouterr().err == "", raw
 
 
 def test_cli_validate_accepts_good_config(tmp_path, capsys):
@@ -630,6 +641,53 @@ def test_cli_run_survives_any_config(raw):
     """Any flat config of mixed-type values ends in exit code 0, 1 or 2,
     never in an exception.  Numbers are drawn from moderate ranges and
     maxSteps stays at most 20, so that every run is short."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.json")
+        with open(path, "w") as fh:
+            json.dump(raw, fh)
+        assert cli_main(["run", path, "--out", os.path.join(tmp, "out")]) in (0, 1, 2)
+
+
+# Every finite magnitude, uniform and log-uniform; three signs in four are
+# positive, since a negative x0 or h only tests the config check.
+_MAGNITUDE = st.floats(5e-324, sys.float_info.max) | st.floats(-323.3, 308.25).map(
+    lambda e: max(10.0**e, 5e-324)
+)
+_SIGNED = st.builds(lambda s, m: s * m, st.sampled_from([1.0, 1.0, 1.0, -1.0]), _MAGNITUDE)
+
+
+@st.composite
+def _extreme_configs(draw):
+    """Well-formed configs whose numbers span every float magnitude, with at
+    most 3 steps; rk45, which runs to the window's end, gets a window that
+    ends within 0.1 of x0."""
+    raw = {
+        "name": "fuzz",
+        "realization": draw(st.sampled_from(["sl3", "sl4"])),
+        "order": draw(st.sampled_from(["Second", "Third"])),
+        "maxSteps": draw(st.integers(0, 3)),
+        "methods": draw(st.lists(
+            st.sampled_from(["invariant", "standardFD", "rk45"]),
+            min_size=1, max_size=3, unique=True,
+        )),
+    }
+    for key in ("x0", "y0", "C", "a", "yp0", "ypp0", "h"):
+        raw[key] = draw(_SIGNED)
+    reach = st.floats(0.0, 0.1) if "rk45" in raw["methods"] else _MAGNITUDE
+    top = sys.float_info.max
+    raw["xWindow"] = [
+        max(raw["x0"] - draw(_MAGNITUDE), -top), min(raw["x0"] + draw(reach), top)
+    ]
+    return raw
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@example(_K0_CONFIGS[0])
+@example(_K0_CONFIGS[1])
+@given(_extreme_configs())
+def test_cli_run_keeps_its_exit_codes_on_extreme_numbers(raw):
+    """Configs with numbers from 5e-324 to 1.8e308 of both signs end in exit
+    code 0, 1 or 2, never in an exception."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "fuzz.json")
         with open(path, "w") as fh:
