@@ -144,12 +144,34 @@ def disc_i1_sl4(pa: Point2, pb: Point2) -> float:
 # precision for the meshes the schemes use.
 
 
-def _checked_sqrt(radicand: float, what: str) -> float:
-    if radicand < 0.0:
-        if radicand > -_RADICAND_SLACK:
-            return 0.0
-        raise DomainViolation(f"{what} has negative radicand", radicand)
-    return math.sqrt(radicand)
+def _window_j1(
+    realization: RealizationId, num: float, den: float,
+    i1n: float, i1n1: float, i2: float, where: Point2,
+) -> float:
+    """J1 from the window fraction num / den = I2^2 - I1n^2 - I1n1^2 and
+    the window's pair invariants; where is the window's middle point.
+    Raises window_j1_from_pairs's errors, in its order."""
+    if den == 0.0:
+        what = "x-product" if realization is RealizationId.SL3 else "denominator product"
+        raise DomainViolation(f"window {what} underflows to zero", where)
+    # I2 - I1n - I1n1 = (num / den - 2 I1n I1n1) / (I2 + I1n + I1n1)
+    n_val = num / den - 2.0 * i1n * i1n1
+    denom = i1n * i1n1 * (i1n + i1n1)
+    if denom == 0.0 or (i2 + i1n + i1n1) == 0.0:
+        raise DomainViolation("degenerate window (coincident points)", where)
+    q_val = n_val / (i2 + i1n + i1n1)
+    if realization is RealizationId.SL3:
+        rad = 1.0 - 8.0 * q_val / denom
+    else:
+        rad = 2.0 * (q_val / denom - 1.0)
+    if rad < 0.0:
+        if rad <= -_RADICAND_SLACK:
+            raise DomainViolation("window J1 has negative radicand", rad)
+        rad = 0.0
+    j1 = math.sqrt(rad)
+    if not math.isfinite(i1n + i1n1 + i2 + j1):
+        raise DomainViolation("invariant overflows", where)
+    return j1
 
 
 def window_j1_from_pairs(
@@ -168,15 +190,12 @@ def window_j1_from_pairs(
     dx_ac, dy_ac = cx - ax, cy - ay
     if realization is RealizationId.SL3:
         # I2^2 - I1n^2 - I1n1^2 as one fraction over x_a x_b x_c
-        xabc = ax * bx * cx
-        if xabc == 0.0:
-            raise DomainViolation("window x-product underflows to zero", pb)
-        p_num = (
+        num = (
             (dx_ac * dx_ac + dy_ac * dy_ac) * bx
             - (dx_ab * dx_ab + dy_ab * dy_ab) * cx
             - (dx_bc * dx_bc + dy_bc * dy_bc) * ax
         )
-        p_val = p_num / xabc
+        den = ax * bx * cx
     else:
         # the same over the sl4 denominators d = 4 x_a x_b - e, e = dy^2 - dx^2
         eab = dy_ab * dy_ab - dx_ab * dx_ab
@@ -185,24 +204,9 @@ def window_j1_from_pairs(
         dab = 4.0 * ax * bx - eab
         dbc = 4.0 * bx * cx - ebc
         dac = 4.0 * ax * cx - eac
-        p_num = eac * dab * dbc - eab * dac * dbc - ebc * dac * dab
-        d3 = dac * dab * dbc
-        if d3 == 0.0:
-            raise DomainViolation("window denominator product underflows to zero", pb)
-        p_val = p_num / d3
-    # I2 - I1n - I1n1 = (p_val - 2 I1n I1n1) / (I2 + I1n + I1n1)
-    n_val = p_val - 2.0 * i1n * i1n1
-    denom = i1n * i1n1 * (i1n + i1n1)
-    if denom == 0.0 or (i2 + i1n + i1n1) == 0.0:
-        raise DomainViolation("degenerate window (coincident points)", pb)
-    q_val = n_val / (i2 + i1n + i1n1)
-    if realization is RealizationId.SL3:
-        rad = 1.0 - 8.0 * q_val / denom
-    else:
-        rad = 2.0 * (q_val / denom - 1.0)
-    j1 = _checked_sqrt(rad, "window J1")
-    _finite(i1n + i1n1 + i2 + j1, pb)
-    return j1
+        num = eac * dab * dbc - eab * dac * dbc - ebc * dac * dab
+        den = dac * dab * dbc
+    return _window_j1(realization, num, den, i1n, i1n1, i2, pb)
 
 
 def window_j1(realization: RealizationId, pa: Point2, pb: Point2, pc: Point2) -> float:

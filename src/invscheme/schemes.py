@@ -8,19 +8,16 @@ three-point invariant relation (J1 = C for order 2, the J2 = F(J1) update
 rule for order 3).  Each equation is a level set of a pair invariant,
 which is a conic in the coordinates of p; subtracting one conic equation
 from the other leaves a straight line, so every step reduces to a single
-line/conic intersection.  A short Newton polish removes the intersection
+line/conic intersection, whose two roots the turning side carried in the
+state tells apart.  A short Newton polish removes the intersection
 roundoff; it is the step's only solver, and a polish that stops short of
-the residual gate, leaves the invariant domain, or follows a degenerate
-reduction ends the step.  newton_fallback_step, a damped 2-D Newton on the
-pair-invariant equations that never sees the reduction, is the tests'
-independent oracle for the step's point.
-
-Root selection: the intersection quadratic has two roots, mirror images
-across the line.  Away from tangency both lie forward of the motion, so
-forward filtering alone cannot separate them; what distinguishes them is
-the side the trajectory turns to.  The stepper therefore carries the
-turning side (sign of the cross product of consecutive displacements) in
-its state and keeps it continuous from step to step.
+the residual gate, leaves the invariant domain, meets a gradient whose
+denominator underflows, or follows a degenerate reduction ends the step.
+The step is one pass on plain floats: each polish iterate forms its two
+chords once, and the last iterate's chords also give J1's window
+fraction and the next turning side.  newton_fallback_step, a damped 2-D
+Newton on the pair-invariant equations that never sees the reduction, is
+the tests' independent oracle for the step's point.
 
 J1 is a principal (nonnegative) square root everywhere.  An order-3 step
 whose J1 target comes out negative, or whose outer-pair target M is not
@@ -60,7 +57,7 @@ from .exact import (
 )
 # Nothing here calls window_j2; bench/tracing.py counts its calls on this module.
 from .invariants import (
-    _j2, disc_i1_sl3, disc_i1_sl4, window_j1, window_j1_from_pairs, window_j2,
+    _j2, _window_j1, disc_i1_sl3, disc_i1_sl4, window_j1, window_j2,
 )
 
 # Residual level (on the pair-invariant equations) beyond which a step is
@@ -122,35 +119,27 @@ def _pair_disc(realization: RealizationId) -> Callable[[Point2, Point2], float]:
     return disc_i1_sl3 if realization is RealizationId.SL3 else disc_i1_sl4
 
 
-def _invert_j1(realization: RealizationId, sum_pair: float, prod: float, t: float) -> float:
-    """Outer-pair invariant M that makes the window's J1 equal t.
-
-    Solves the J1 formula for the outer pair invariant: with s = i1n +
-    i1n1 and q = i1n * i1n1, sl3 gives M = s + q*s*(1 - t^2)/8 and sl4
-    gives M = s + q*s*(1 + t^2/2).
-    """
-    if realization is RealizationId.SL3:
-        return sum_pair + prod * sum_pair * (1.0 - t * t) / 8.0
-    return sum_pair + prod * sum_pair * (1.0 + t * t / 2.0)
-
-
 def scheme_targets(state: SchemeState) -> tuple[float, Optional[float]]:
     """The step's targets (m, j1_next) from the current window: the outer
     pair's target M and, at order 3, the update rule's next J1, else None.
+
+    M solves the J1 formula for the outer pair invariant: with s = i1n +
+    i1n1 and q = i1n * i1n1, sl3 gives M = s + q*s*(1 - t^2)/8 and sl4
+    gives M = s + q*s*(1 + t^2/2), where t is the J1 to meet.
 
     Raises NoIntersection when the targets are geometrically impossible
     (negative J1 target on the principal branch, or nonpositive M).
     """
     spec = state.spec
-    k = spec.K
+    k, sl3 = spec.K, spec.realization is RealizationId.SL3
     if spec.order == 2:
         (i1n,) = state.pairs
-        m, j1_next = _invert_j1(spec.realization, i1n + k, i1n * k, spec.C), None
+        s, q, t, j1_next = i1n + k, i1n * k, spec.C, None
     else:
         i1n, i1n1 = state.pairs
         s3 = i1n + i1n1 + k
         tau = state.last_j1
-        if spec.realization is RealizationId.SL3:
+        if sl3:
             j1_next = tau + s3 / 3.0 * spec.F(tau)
         else:
             j1_next = tau + s3 / 3.0 * (spec.F(tau) - 6.0 * tau * tau - 3.0)
@@ -159,7 +148,8 @@ def scheme_targets(state: SchemeState) -> tuple[float, Optional[float]]:
                 f"J1 target {j1_next:.3e} is negative on the principal branch",
                 state.window[-1],
             )
-        m = _invert_j1(spec.realization, i1n1 + k, i1n1 * k, j1_next)
+        s, q, t = i1n1 + k, i1n1 * k, j1_next
+    m = s + q * s * (1.0 - t * t) / 8.0 if sl3 else s + q * s * (1.0 + t * t / 2.0)
     if m <= 0.0:
         raise NoIntersection(
             f"outer pair invariant target {m:.3e} is not positive",
@@ -181,12 +171,6 @@ def _check_mesh(state: SchemeState) -> None:
             )
 
 
-def _level_set(sigma: float, r: Point2, c: float) -> tuple[float, float, float]:
-    """(qx, qy, q0) of sigma (x - r.x)^2 + (y - r.y)^2 = c r.x x expanded
-    to sigma x^2 + y^2 + qx x + qy y + q0 = 0."""
-    return -(2.0 * sigma + c) * r.x, -2.0 * r.y, sigma * r.x * r.x + r.y * r.y
-
-
 def _line(
     realization: RealizationId, p_prev: Point2, p_last: Point2, k: float, m: float
 ) -> tuple[tuple[float, float, float], tuple[float, float, float, float]]:
@@ -194,7 +178,8 @@ def _line(
     (sigma, qx, qy, q0); see reduce_to_line_conic.
 
     Both realizations' level sets {p : pair invariant of (r, p) = t} are
-    _level_set's family, with (sigma, c_t) = (1, t^2) for sl3 and
+    sigma (x - r.x)^2 + (y - r.y)^2 = c_t r.x x, sigma x^2 + y^2 + qx x +
+    qy y + q0 = 0 expanded, with (sigma, c_t) = (1, t^2) for sl3 and
     (-1, 4 t^2 / (1 + t^2)) for sl4.  The mesh conic is that of (p_last,
     K), the outer one that of (p_prev, M), and the line their difference.
     """
@@ -202,8 +187,9 @@ def _line(
         sigma, c_k, c_m = 1.0, k * k, m * m
     else:
         sigma, c_k, c_m = -1.0, 4.0 * (k * k / (1.0 + k * k)), 4.0 * (m * m / (1.0 + m * m))
-    qx, qy, q0 = _level_set(sigma, p_last, c_k)
-    ox, oy, o0 = _level_set(sigma, p_prev, c_m)
+    lx, ly, px, py = p_last.x, p_last.y, p_prev.x, p_prev.y
+    qx, qy, q0 = -(2.0 * sigma + c_k) * lx, -2.0 * ly, sigma * lx * lx + ly * ly
+    ox, oy, o0 = -(2.0 * sigma + c_m) * px, -2.0 * py, sigma * px * px + py * py
     a, b, d = qx - ox, qy - oy, o0 - q0
     nrm = math.hypot(a, b)
     if nrm == 0.0:
@@ -233,30 +219,34 @@ def reduce_to_line_conic(state: SchemeState) -> tuple[tuple[float, ...], tuple[f
     return line, (sigma, 0.0, 1.0, qx, qy, q0)
 
 
-def turning_side(p0: Point2, p1: Point2, p2: Point2, fallback: float = 0.0) -> float:
-    """Sign of the cross product of displacements p0->p1 and p1->p2.
-
-    Returns fallback when the three points are collinear to relative
-    precision 1e-9, so an established side survives straight stretches.
-    """
-    vx, vy = p1.x - p0.x, p1.y - p0.y
-    wx, wy = p2.x - p1.x, p2.y - p1.y
+def _turn(vx: float, vy: float, wx: float, wy: float, fallback: float) -> float:
+    """turning_side on the displacements (vx, vy) and (wx, wy)."""
     cr = vx * wy - vy * wx
     if abs(cr) > 1e-9 * math.hypot(vx, vy) * math.hypot(wx, wy):
         return 1.0 if cr > 0.0 else -1.0
     return fallback
 
 
+def turning_side(p0: Point2, p1: Point2, p2: Point2, fallback: float = 0.0) -> float:
+    """Sign of the cross product of displacements p0->p1 and p1->p2.
+
+    Returns fallback when the three points are collinear to relative
+    precision 1e-9, so an established side survives straight stretches.
+    """
+    return _turn(p1.x - p0.x, p1.y - p0.y, p2.x - p1.x, p2.y - p1.y, fallback)
+
+
 def _fast_step(
     realization: RealizationId, p_prev: Point2, p_last: Point2, k: float, m: float, side: float
-) -> tuple[float, float, float, float, int]:
-    """The step's fast path on plain floats: reduction, root pick, polish.
+) -> tuple[float, float, float, float, int, float, float, float]:
+    """The step in one pass on plain floats: reduction, root pick, polish.
 
     The line, parametrized from the foot of the perpendicular dropped from
-    p_last (which keeps the parameter small), meets the mesh conic
-    sigma x^2 + y^2 + qx x + qy y + q0 = 0 of _line in a quadratic solved
-    by the stable (sign-aware) formula; a discriminant within 1e-10 below
-    zero counts as a tangency (double root).
+    p_last (which keeps the parameter small), meets the mesh conic of _line
+    in a quadratic alpha t^2 + beta t + gamma solved by the stable
+    (sign-aware) formula, or by its linear root where |alpha gamma| <=
+    1e-26 beta^2, a test that the dilation X2 leaves alone; a discriminant
+    within 1e-10 below zero counts as a tangency (double root).
 
     Of the roots forward of the last chord and in the half plane, prefer
     the one whose turn matches side (any turn matches side 0); among equals
@@ -264,28 +254,36 @@ def _fast_step(
     turn carries the pick at order 2 as well as at order 3: the mirror
     roots lie only O(K^2) apart, as close as the extrapolation's own
     O(K^2) miss, so nearness alone picks the other root on 6651 of the
-    20000 steps of fig1 at h = 0.01.  Picking by
-    forward distance instead can capture the mirror, whose displacement in
-    the hyperbolic-rotation geometry grows without bound as chords approach
-    slope +-1.
+    20000 steps of fig1 at h = 0.01.  Picking by forward distance instead
+    can capture the mirror, whose displacement in the hyperbolic-rotation
+    geometry grows without bound as chords approach slope +-1.
 
-    Returns _polish's result for that root.  Raises NoIntersection when the
-    reduction degenerates or no root is admissible, and DomainViolation
-    when a polish iterate leaves the invariant domain.
+    The polish takes at most four Newton corrections on the two
+    pair-invariant equations.  Each iterate forms its chords to p_last and
+    p_prev once, from them its pair invariants da and db with disc_i1_*'s
+    operations, and their gradients only when it misses the tolerance.
+    The last iterate's chords give the window fraction num / den =
+    I2^2 - I1n^2 - I1n1^2 of (p_prev, p_last, p), with
+    window_j1_from_pairs's operations, and the next turning side.
+
+    Returns (x, y, da, db, iterations, num, den, next side).  Raises
+    NoIntersection when the reduction degenerates or no root is admissible,
+    and DomainViolation when an iterate leaves the invariant domain or a
+    gradient's denominator underflows to zero.
     """
     (la, lb, ld), (sigma, qx, qy, q0) = _line(realization, p_prev, p_last, k, m)
     # A second normalization: dropping it moves the last bit of some roots,
     # and with them the written trajectories.
     nrm = math.hypot(la, lb)
     la, lb, ld = la / nrm, lb / nrm, ld / nrm
-    ax, ay = p_last.x, p_last.y
-    t0 = la * ax + lb * ay - ld
-    bx, by = ax - t0 * la, ay - t0 * lb
+    lx, ly, px, py = p_last.x, p_last.y, p_prev.x, p_prev.y
+    t0 = la * lx + lb * ly - ld
+    bx, by = lx - t0 * la, ly - t0 * lb
     dx, dy = lb, -la
     alpha = sigma * dx * dx + dy * dy
     beta = 2.0 * sigma * bx * dx + 2.0 * by * dy + qx * dx + qy * dy
     gamma = sigma * bx * bx + by * by + qx * bx + qy * by + q0
-    if abs(alpha) < 1e-13 * (abs(beta) + 1.0):
+    if abs(alpha * gamma) <= 1e-26 * beta * beta:
         if beta == 0.0:
             raise NoIntersection("line/conic system is degenerate", p_last)
         ts: tuple[float, ...] = (-gamma / beta,)
@@ -300,85 +298,81 @@ def _fast_step(
         sq = math.sqrt(disc)
         q = -0.5 * (beta + math.copysign(sq, beta))
         ts = (q / alpha,) if q == 0.0 else (q / alpha, gamma / q)
-    pdx, pdy = ax - p_prev.x, ay - p_prev.y
-    gx, gy = ax + pdx, ay + pdy
+    pdx, pdy = lx - px, ly - py
+    gx, gy = lx + pdx, ly + pdy
     best = None
     for t in ts:
         x, y = bx + t * dx, by + t * dy
-        if x <= 0.0:
+        rx, ry = x - lx, y - ly
+        if x <= 0.0 or rx * pdx + ry * pdy <= 0.0:
             continue
-        rx, ry = x - ax, y - ay
-        if rx * pdx + ry * pdy <= 0.0:
-            continue
-        key = ((pdx * ry - pdy * rx) * side >= 0.0, -math.hypot(x - gx, y - gy))
-        if best is None or key > best[0]:
-            best = key, x, y
+        turn_ok = (pdx * ry - pdy * rx) * side >= 0.0
+        if best is None or turn_ok > best[0] or turn_ok == best[0] and (
+            math.hypot(x - gx, y - gy) < math.hypot(best[1] - gx, best[2] - gy)
+        ):
+            best = turn_ok, x, y
     if best is None:
         raise NoIntersection("no admissible forward root", p_last)
-    return _polish(realization, p_prev, p_last, k, m, best[1], best[2])
+    _, x, y = best
 
-
-def _disc_grad_sl3(rx: float, ry: float, x: float, y: float) -> tuple[float, float, float]:
-    """sl3 pair invariant of ((rx, ry), (x, y)) and its gradient in (x, y)."""
-    dx, dy = x - rx, y - ry
-    den = rx * x
-    if den <= 0.0:
-        raise DomainViolation("pair invariant needs x > 0", Point2(x, y))
-    d2 = (dx * dx + dy * dy) / den
-    d = math.sqrt(d2)
-    if d == 0.0:
-        raise DomainViolation("coincident pair", Point2(x, y))
-    gx = (2.0 * dx / den - d2 / x) / (2.0 * d)
-    gy = dy / (den * d)
-    return d, gx, gy
-
-
-def _disc_grad_sl4(rx: float, ry: float, x: float, y: float) -> tuple[float, float, float]:
-    """sl4 pair invariant of ((rx, ry), (x, y)) and its gradient in (x, y)."""
-    dx, dy = x - rx, y - ry
-    e = dy * dy - dx * dx
-    den = 4.0 * rx * x - e
-    if e <= 0.0 or den <= 0.0:
-        raise DomainViolation("pair outside the sl4 invariant domain", Point2(x, y))
-    d2 = e / den
-    d = math.sqrt(d2)
-    ex, ey = -2.0 * dx, 2.0 * dy
-    dnx, dny = 4.0 * rx - ex, -ey
-    gx = (ex * den - e * dnx) / (den * den) / (2.0 * d)
-    gy = (ey * den - e * dny) / (den * den) / (2.0 * d)
-    return d, gx, gy
-
-
-def _polish(
-    realization: RealizationId, p_prev: Point2, p_last: Point2, k: float, m: float,
-    x: float, y: float,
-) -> tuple[float, float, float, float, int]:
-    """Few analytic Newton corrections on the two pair-invariant equations.
-
-    Returns (x, y, da, db, iterations), where da = I(p_last, p) and
-    db = I(p_prev, p) are the pair invariants of the returned point p.
-    _disc_grad_* form them with the operations of disc_i1_*, so they are
-    the same bits.  Raises DomainViolation when an iterate leaves the
-    invariant domain.
-    """
-    grad = _disc_grad_sl3 if realization is RealizationId.SL3 else _disc_grad_sl4
-    tol = 1e-14 * max(1.0, k)
-    lx, ly, px, py = p_last.x, p_last.y, p_prev.x, p_prev.y
+    sl3 = sigma > 0.0
+    tol = 1e-14 * k if k > 1.0 else 1e-14
     iters = 0
-    for _ in range(4):
-        da, gax, gay = grad(lx, ly, x, y)
-        db, gbx, gby = grad(px, py, x, y)
+    while True:
+        ux, uy, vx, vy = x - lx, y - ly, x - px, y - py
+        if sl3:
+            sa, dena, sb, denb = ux * ux + uy * uy, lx * x, vx * vx + vy * vy, px * x
+            if dena <= 0.0:
+                raise DomainViolation("pair invariant needs x > 0", Point2(x, y))
+            d2a = sa / dena
+            da = math.sqrt(d2a)
+            if da == 0.0:
+                raise DomainViolation("coincident pair", Point2(x, y))
+            if denb <= 0.0:
+                raise DomainViolation("pair invariant needs x > 0", Point2(x, y))
+            d2b = sb / denb
+            db = math.sqrt(d2b)
+            if db == 0.0:
+                raise DomainViolation("coincident pair", Point2(x, y))
+        else:
+            ea, eb = uy * uy - ux * ux, vy * vy - vx * vx
+            dena, denb = 4.0 * lx * x - ea, 4.0 * px * x - eb
+            if ea <= 0.0 or dena <= 0.0 or eb <= 0.0 or denb <= 0.0:
+                raise DomainViolation("pair outside the sl4 invariant domain", Point2(x, y))
+            da, db = math.sqrt(ea / dena), math.sqrt(eb / denb)
+        if iters == 4:
+            break
         r1, r2 = da - k, db - m
-        if max(abs(r1), abs(r2)) < tol:
-            return x, y, da, db, iters
+        a1, a2 = abs(r1), abs(r2)
+        if (a2 if a2 > a1 else a1) < tol:
+            break
+        if sl3:
+            dda, ddb = dena * da, denb * db
+            if dda == 0.0 or ddb == 0.0:
+                raise DomainViolation("pair invariant gradient underflows", Point2(x, y))
+            gax, gay = (2.0 * ux / dena - d2a / x) / (2.0 * da), uy / dda
+            gbx, gby = (2.0 * vx / denb - d2b / x) / (2.0 * db), vy / ddb
+        else:
+            dda, ddb = dena * dena, denb * denb
+            if dda == 0.0 or ddb == 0.0 or da == 0.0 or db == 0.0:
+                raise DomainViolation("pair invariant gradient underflows", Point2(x, y))
+            ex, ey, fx, fy = -2.0 * ux, 2.0 * uy, -2.0 * vx, 2.0 * vy
+            gax = (ex * dena - ea * (4.0 * lx - ex)) / dda / (2.0 * da)
+            gay = (ey * dena - ea * -ey) / dda / (2.0 * da)
+            gbx = (fx * denb - eb * (4.0 * px - fx)) / ddb / (2.0 * db)
+            gby = (fy * denb - eb * -fy) / ddb / (2.0 * db)
         det = gax * gby - gay * gbx
         if det == 0.0:
-            return x, y, da, db, iters
-        sx = (gby * r1 - gay * r2) / det
-        sy = (gax * r2 - gbx * r1) / det
-        x, y = x - sx, y - sy
+            break
+        x, y = x - (gby * r1 - gay * r2) / det, y - (gax * r2 - gbx * r1) / det
         iters += 1
-    return x, y, grad(lx, ly, x, y)[0], grad(px, py, x, y)[0], iters
+    if sl3:
+        num, den = sb * lx - (pdx * pdx + pdy * pdy) * x - sa * px, px * lx * x
+    else:
+        eab = pdy * pdy - pdx * pdx
+        dab = 4.0 * px * lx - eab
+        num, den = eb * dab * dena - eab * denb * dena - ea * denb * dab, denb * dab * dena
+    return x, y, da, db, iters, num, den, _turn(pdx, pdy, ux, uy, side)
 
 
 def newton_fallback_step(state: SchemeState, guess: Point2) -> Point2:
@@ -448,19 +442,20 @@ def newton_fallback_step(state: SchemeState, guess: Point2) -> Point2:
 
 
 def step_with_diagnostics(state: SchemeState) -> tuple[Point2, StepDiagnostics]:
-    """One scheme step: targets, line/conic fast path with its polish, and
-    diagnostics.
+    """One scheme step: targets, _fast_step's one pass, and diagnostics.
 
     Each quantity is computed once.  The mesh guard (for a state not built
     from a hand-over) and the targets read the state's pair invariants.
     The polish, the step's only solver, returns the pair invariants
     da = I(p_last, p) and db = I(p_prev, p) of its point p; the residuals
-    are |da - K| and |db - M|, and J1 is that of (p_prev, p_last, p) from
-    the state's newest pair invariant, da and db.  At order 3, J2 of the
-    window plus p comes from that J1, the window's J1 and the pair
-    invariants, by window_j2's formula.  A residual above 5e-11, or not
-    finite, raises NewtonDivergence naming it.  The step leaves p, da,
-    (order 3) J1 and the next J1 target on the state for advance_state.
+    are |da - K| and |db - M|.  A residual above 5e-11, or not finite,
+    raises NewtonDivergence naming it.  Then J1 of (p_prev, p_last, p)
+    comes from the polish's window fraction, the state's newest pair
+    invariant, da and db, by window_j1_from_pairs's formula.  At order 3,
+    J2 of the window plus p comes from that J1, the window's J1 and the
+    pair invariants, by window_j2's formula.  The step leaves p, da,
+    (order 3) J1, the next J1 target and the next turning side on the
+    state for advance_state.
     """
     if not state.mesh_checked:
         _check_mesh(state)
@@ -468,18 +463,18 @@ def step_with_diagnostics(state: SchemeState) -> tuple[Point2, StepDiagnostics]:
     m, j1_next = scheme_targets(state)
     realization, k = spec.realization, spec.K
     p_prev, p_last = state.window[-2], state.window[-1]
-    x, y, da, db, iters = _fast_step(realization, p_prev, p_last, k, m, state.side)
+    x, y, da, db, iters, num, den, side = _fast_step(realization, p_prev, p_last, k, m, state.side)
     root = Point2(x, y)
     mesh_res, scheme_res = abs(da - k), abs(db - m)
-    res = max(mesh_res, scheme_res)
+    res = scheme_res if scheme_res > mesh_res else mesh_res
     if not res <= _RESIDUAL_HALT:
         raise NewtonDivergence(f"step residual {res:.3e} did not converge", root)
     pairs = state.pairs
-    j1 = window_j1_from_pairs(realization, p_prev, p_last, root, pairs[-1], da, db)
+    j1 = _window_j1(realization, num, den, pairs[-1], da, db, p_last)
     j2 = None
     if spec.order == 3:
         j2 = _j2(realization, state.j1_window, j1, pairs[0] + pairs[1] + da)
-    state._step = (root, da, j1 if spec.order == 3 else None, j1_next)
+    state._step = (root, da, j1 if spec.order == 3 else None, j1_next, side)
     return root, StepDiagnostics(j1, mesh_res, scheme_res, iters, j2)
 
 
@@ -489,18 +484,18 @@ def advance_state(state: SchemeState, p_next: Point2) -> SchemeState:
     The next state gets the turning side, at order 3 the J1 target of the
     update rule, and the pair invariants of its window: the carried ones
     plus the one for the pair that p_next closes.  When p_next is or
-    equals the point of the state's last step, that pair invariant and
-    (order 3) the window's J1 and the J1 target are the step's, and the
-    next state skips the mesh guard; for any other point they are
-    evaluated, the target by scheme_targets, and it does not.
+    equals the point of the state's last step, that pair invariant, the
+    turning side and (order 3) the window's J1 and the J1 target are the
+    step's, and the next state skips the mesh guard; for any other point
+    they are evaluated, the target by scheme_targets, and it does not.
     """
     spec, window = state.spec, state.window
-    side = turning_side(window[-2], window[-1], p_next, fallback=state.side)
     step = state._step
     handed = step is not None and (step[0] is p_next or step[0] == p_next)
     if handed:
-        _, newest, j1_window, last_j1 = step
+        _, newest, j1_window, last_j1, side = step
     else:
+        side = turning_side(window[-2], window[-1], p_next, fallback=state.side)
         last_j1 = scheme_targets(state)[1] if spec.order == 3 else None
         newest, j1_window = _pair_disc(spec.realization)(window[-1], p_next), None
     pairs = state.pairs[1:] + (newest,)

@@ -24,8 +24,8 @@ from invscheme.baselines import _STAGE_ERRORS
 from invscheme.exact import _bisect_param
 from invscheme.group_action import GroupElement
 from invscheme.harness import _singularities
-from invscheme.invariants import _checked_sqrt
-from invscheme.schemes import _polish, reduce_to_line_conic
+from invscheme.invariants import _RADICAND_SLACK, window_j1_from_pairs
+from invscheme.schemes import reduce_to_line_conic, turning_side
 
 
 IDENTITY = GroupElement(1.0, 0.0, 0.0, 1.0)
@@ -182,10 +182,13 @@ def solve_line_conic(
     return best
 
 
-# The step's reduction and quadratic written for a general conic, with one
-# six-coefficient level set per realization and pair: an oracle for
-# schemes._line and schemes._fast_step, which form both level sets from
-# the one (sigma, c_t) expression and drop the zero xy terms.
+# The step's reduction, quadratic and polish written for a general conic,
+# with one six-coefficient level set per realization and pair, a polish
+# that calls one gradient function per pair invariant, and J1 and the next
+# turning side evaluated afresh: an oracle for schemes._line and
+# schemes._fast_step, which form both level sets from the one (sigma, c_t)
+# expression, drop the zero xy terms, and polish, take J1's window fraction
+# and the turn in one pass over each iterate's chords.
 
 
 def general_conic_line(realization, p_prev, p_last, k, m):
@@ -207,8 +210,67 @@ def general_conic_line(realization, p_prev, p_last, k, m):
     return (a / nrm, b / nrm, d / nrm), mesh
 
 
+def disc_grad_sl3(rx: float, ry: float, x: float, y: float) -> tuple[float, float, float]:
+    """sl3 pair invariant of ((rx, ry), (x, y)) and its gradient in (x, y)."""
+    dx, dy = x - rx, y - ry
+    den = rx * x
+    if den <= 0.0:
+        raise DomainViolation("pair invariant needs x > 0", Point2(x, y))
+    d2 = (dx * dx + dy * dy) / den
+    d = math.sqrt(d2)
+    if d == 0.0:
+        raise DomainViolation("coincident pair", Point2(x, y))
+    gx = (2.0 * dx / den - d2 / x) / (2.0 * d)
+    gy = dy / (den * d)
+    return d, gx, gy
+
+
+def disc_grad_sl4(rx: float, ry: float, x: float, y: float) -> tuple[float, float, float]:
+    """sl4 pair invariant of ((rx, ry), (x, y)) and its gradient in (x, y)."""
+    dx, dy = x - rx, y - ry
+    e = dy * dy - dx * dx
+    den = 4.0 * rx * x - e
+    if e <= 0.0 or den <= 0.0:
+        raise DomainViolation("pair outside the sl4 invariant domain", Point2(x, y))
+    d2 = e / den
+    d = math.sqrt(d2)
+    ex, ey = -2.0 * dx, 2.0 * dy
+    dnx, dny = 4.0 * rx - ex, -ey
+    gx = (ex * den - e * dnx) / (den * den) / (2.0 * d)
+    gy = (ey * den - e * dny) / (den * den) / (2.0 * d)
+    return d, gx, gy
+
+
+def polish(realization, p_prev, p_last, k, m, x, y):
+    """At most four analytic Newton corrections on the two pair-invariant
+    equations from (x, y): (x, y, da, db, iterations), with da = I(p_last,
+    p) and db = I(p_prev, p) of the returned point p."""
+    grad = disc_grad_sl3 if realization is RealizationId.SL3 else disc_grad_sl4
+    tol = 1e-14 * max(1.0, k)
+    lx, ly, px, py = p_last.x, p_last.y, p_prev.x, p_prev.y
+    iters = 0
+    for _ in range(4):
+        da, gax, gay = grad(lx, ly, x, y)
+        db, gbx, gby = grad(px, py, x, y)
+        r1, r2 = da - k, db - m
+        if max(abs(r1), abs(r2)) < tol:
+            return x, y, da, db, iters
+        det = gax * gby - gay * gbx
+        if det == 0.0:
+            return x, y, da, db, iters
+        sx = (gby * r1 - gay * r2) / det
+        sy = (gax * r2 - gbx * r1) / det
+        x, y = x - sx, y - sy
+        iters += 1
+    return x, y, grad(lx, ly, x, y)[0], grad(px, py, x, y)[0], iters
+
+
 def general_conic_step(realization, p_prev, p_last, k, m, side):
-    """schemes._fast_step on general_conic_line's line and conic."""
+    """schemes._fast_step on general_conic_line's line and conic, through
+    polish, as (x, y, da, db, iterations, J1, next side): J1 of
+    (p_prev, p_last, p) by window_j1_from_pairs with k standing for the
+    window's pair invariant (the DomainViolation it raises, if it does, in
+    its place), and the next side by turning_side."""
     (la, lb, ld), (qxx, qxy, qyy, qx, qy, q0) = general_conic_line(
         realization, p_prev, p_last, k, m
     )
@@ -224,7 +286,7 @@ def general_conic_step(realization, p_prev, p_last, k, m, side):
         + qx * dx + qy * dy
     )
     gamma = qxx * bx * bx + qxy * bx * by + qyy * by * by + qx * bx + qy * by + q0
-    if abs(alpha) < 1e-13 * (abs(beta) + 1.0):
+    if abs(alpha * gamma) <= 1e-26 * beta * beta:
         if beta == 0.0:
             raise NoIntersection("line/conic system is degenerate", p_last)
         ts = (-gamma / beta,)
@@ -254,7 +316,13 @@ def general_conic_step(realization, p_prev, p_last, k, m, side):
             best = key, x, y
     if best is None:
         raise NoIntersection("no admissible forward root", p_last)
-    return _polish(realization, p_prev, p_last, k, m, best[1], best[2])
+    x, y, da, db, iters = polish(realization, p_prev, p_last, k, m, best[1], best[2])
+    p = Point2(x, y)
+    try:
+        j1 = window_j1_from_pairs(realization, p_prev, p_last, p, k, da, db)
+    except DomainViolation as exc:
+        j1 = exc
+    return x, y, da, db, iters, j1, turning_side(p_prev, p_last, p, side)
 
 
 def next_circle_point(sol: CircleSolution, theta: float, k: float, direction: float) -> float:
@@ -305,6 +373,14 @@ def next_hyperbola_point(
 
 # The textbook J1 and J2 formulas on rounded pair invariants: an oracle for
 # window_j1_from_pairs, which rebuilds J1 from the coordinates instead.
+
+
+def _checked_sqrt(radicand: float, what: str) -> float:
+    if radicand < 0.0:
+        if radicand > -_RADICAND_SLACK:
+            return 0.0
+        raise DomainViolation(f"{what} has negative radicand", radicand)
+    return math.sqrt(radicand)
 
 
 def j1_sl3(i1n: float, i1n1: float, i2n1: float) -> float:

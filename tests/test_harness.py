@@ -421,6 +421,12 @@ _K0_CONFIGS = [
      "h": 2.949237720334326e-05, "C": 3.0, "a": 1e300, "methods": ["invariant"]},
 ]
 
+# An sl4 polish whose gradient denominator (den * den) underflows to zero.
+_TINY_SL4 = {
+    "name": "tiny", "realization": "sl4", "order": "Second", "x0": 2e-82, "y0": 5e-82,
+    "C": 5.0, "a": 1e82, "h": 1e-84, "maxSteps": 50, "methods": ["invariant"],
+}
+
 
 def test_cli_run_exits_2_when_every_method_fails(tmp_path, capsys):
     doomed = {
@@ -428,7 +434,7 @@ def test_cli_run_exits_2_when_every_method_fails(tmp_path, capsys):
         "x0": 1.0, "y0": 8.0, "C": 2.0, "a": 0.0,
         "methods": ["invariant", "standardFD"],
     }
-    for i, raw in enumerate([doomed] + _K0_CONFIGS):
+    for i, raw in enumerate([doomed] + _K0_CONFIGS + [_TINY_SL4]):
         cfg_path = tmp_path / f"doomed{i}.json"
         cfg_path.write_text(json.dumps({**raw, "output": str(tmp_path)}))
         assert cli_main(["run", str(cfg_path)]) == 2, raw
@@ -684,6 +690,7 @@ def _extreme_configs(draw):
 @settings(max_examples=200, deadline=None, database=None, derandomize=True)
 @example(_K0_CONFIGS[0])
 @example(_K0_CONFIGS[1])
+@example(_TINY_SL4)
 @given(_extreme_configs())
 def test_cli_run_keeps_its_exit_codes_on_extreme_numbers(raw):
     """Configs with numbers from 5e-324 to 1.8e308 of both signs end in exit

@@ -3,6 +3,7 @@
 import math
 import random
 import re
+import sys
 from collections import Counter
 
 import numpy as np
@@ -44,6 +45,7 @@ from invscheme.schemes import (
     turning_side,
 )
 from invscheme import schemes
+from invscheme.invariants import _window_j1
 from invscheme.baselines import rk45_integrate
 from invscheme.exact import conic_distance, next_chord_point, param_of, point_at
 
@@ -696,12 +698,15 @@ def _outcome_repr(fn, *args):
 def test_fast_step_keeps_every_bit_of_the_general_conic_step(
     realization, px, py, angle, chord, ratio, side
 ):
-    """The (sigma, c_t) level sets and the quadratic without its zero xy
-    terms give the general-conic reduction's line and conic and the same
-    step, bit for bit, errors included.  The mesh constant is the window's
-    own pair invariant (the chord where the pair has none), and M a
-    multiple of it, so about a third of the windows reach the polish and
-    the rest halt in the reduction or the root pick."""
+    """The (sigma, c_t) level sets, the quadratic without its zero xy terms
+    and the one-pass polish give the general-conic reduction's line and
+    conic and the same step, bit for bit, errors included: the point, its
+    pair invariants, the polish's iterations, J1 from the window fraction
+    (against window_j1_from_pairs, with K as the window's pair invariant)
+    and the next turning side (against turning_side).  The mesh constant
+    is the window's own pair invariant (the chord where the pair has none),
+    and M a multiple of it, so about a third of the windows reach the
+    polish and the rest halt in the reduction or the root pick."""
     p_prev = Point2(px, py)
     p_last = Point2(px + chord * math.cos(angle), py + chord * math.sin(angle))
     disc = disc_i1_sl3 if realization is RealizationId.SL3 else disc_i1_sl4
@@ -716,10 +721,94 @@ def test_fast_step_keeps_every_bit_of_the_general_conic_step(
         return (la, lb, ld), (sigma, 0.0, 1.0, qx, qy, q0)
 
     assert _outcome_repr(line, *args) == _outcome_repr(general_conic_line, *args)
-    assert (
-        _outcome_repr(schemes._fast_step, *args, side)
-        == _outcome_repr(general_conic_step, *args, side)
+    fused = _outcome_repr(_fused_step, *args, side)
+    assert fused == _outcome_repr(general_conic_step, *args, side)
+
+
+def _fused_step(realization, p_prev, p_last, k, m, side):
+    """_fast_step's result in general_conic_step's form: J1 through the
+    shared J1 core from the window fraction, with k as the window's pair
+    invariant (its DomainViolation in its place)."""
+    x, y, da, db, iters, num, den, side_next = schemes._fast_step(
+        realization, p_prev, p_last, k, m, side
     )
+    try:
+        j1 = _window_j1(realization, num, den, k, da, db, p_last)
+    except DomainViolation as exc:
+        j1 = exc
+    return x, y, da, db, iters, j1, side_next
+
+
+@pytest.mark.parametrize("name", ["fig1", "fig2", "fig3", "fig4"])
+def test_fast_step_keeps_every_bit_along_the_builtin_runs(name, monkeypatch):
+    """The same comparison on every state of the builtin runs at h = 0.005,
+    whose polish corrections near sl4's x = 0 are large enough to show the
+    last bit of a gradient.  A run's last state may halt in its targets."""
+    states = _fig_run_states(name, 0.005, monkeypatch)
+    for s in states:
+        try:
+            m = scheme_targets(s)[0]
+        except NoIntersection:
+            assert s is states[-1]
+            continue
+        args = (s.spec.realization, s.window[-2], s.window[-1], s.spec.K, m, s.side)
+        assert _outcome_repr(_fused_step, *args) == _outcome_repr(general_conic_step, *args)
+
+
+@pytest.mark.parametrize("name", ["fig1", "fig2", "fig3", "fig4"])
+def test_step_and_advance_make_few_python_calls(name):
+    """A step plus advance_state on a carried state is one pass: at most 11
+    Python-level calls at order 2 and 13 at order 3 (the update rule's F
+    and J2 on top).  The bootstrap state's first step adds the mesh guard."""
+    cfg, state = _builtin_start(name)
+    state = advance_state(state, step_with_diagnostics(state)[0])
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code.co_name)
+
+    for _ in range(20):
+        calls.clear()
+        sys.setprofile(profile)
+        try:
+            p, _ = step_with_diagnostics(state)
+            state = advance_state(state, p)
+        finally:
+            sys.setprofile(None)
+        assert len(calls) <= (11 if cfg.order == 2 else 13), calls
+
+
+def _dilated_run(name, scale):
+    """The run of fig name from its bootstrap state with every coordinate,
+    and the x-window, multiplied by scale."""
+    cfg, state = _builtin_start(name)
+    window = tuple(Point2(scale * p.x, scale * p.y) for p in state.window)
+    state = SchemeState(window, state.spec, state.last_j1, state.side)
+    lo, hi = cfg.x_window
+    return run_scheme(state, cfg.max_steps, (scale * lo, scale * hi))
+
+
+@pytest.mark.parametrize("name", ["fig1", "fig2", "fig3", "fig4"])
+def test_dilation_changes_no_bit_of_a_run(name):
+    """The dilation X2 = x d_x + y d_y lies in both realizations, and a power
+    of two scales a float exactly, so a window scaled by 2^e steps to the
+    scaled points with the same J1 and J2, bit for bit, and halts after
+    the same point; a linear-root switch that adds a length to a number,
+    as |alpha| < 1e-13 (|beta| + 1) does, breaks this from 2^50.  The
+    halt's reason is not compared: the discriminant's tangency slack,
+    1e-10, is an absolute area, so fig4's last step halts outside the sl4
+    domain up to 2^6 and on a negative discriminant from 2^8 on."""
+    ref = _dilated_run(name, 1.0)
+    assert len(ref.xs) > 100
+    j_ref = [(d.j1, d.j2) for d in ref.diagnostics]
+    for e in (-100, -60, -40, 40, 60, 100):
+        scale = 2.0**e
+        run = _dilated_run(name, scale)
+        assert run.xs == [scale * x for x in ref.xs], e
+        assert run.ys == [scale * y for y in ref.ys], e
+        assert [(d.j1, d.j2) for d in run.diagnostics] == j_ref, e
+        assert run.halt.x == scale * ref.halt.x, e
 
 
 # -- carried pair invariants ------------------------------------------------------
