@@ -43,7 +43,6 @@ from .harness import (
     MethodReport,
     RunReport,
     SingularityFlag,
-    benchmark_step_cost,
     builtin_experiments,
     cli_main,
     config_from_raw,

@@ -137,16 +137,15 @@ class Trajectory:
     """Ordered points as float columns xs, ys, plus the per-step diagnostics.
 
     For a scheme of stencil width w, diagnostics has length
-    len(xs) - (w - 1): one record per accepted step.  step_seconds
-    holds the wall time of each accepted step; every harness driver fills
-    it, and the rk45 driver, which times the integrator as a whole, writes
-    the mean into every slot.
+    len(xs) - (w - 1): one record per accepted step.  seconds is the
+    wall time of the stepping phase, without bootstrap or writing; the
+    harness driver that ran the method sets it.
     """
 
     xs: list[float] = field(default_factory=list)
     ys: list[float] = field(default_factory=list)
     diagnostics: list[StepDiagnostics] = field(default_factory=list)
-    step_seconds: list[float] = field(default_factory=list)
+    seconds: Optional[float] = None
     halt: Optional[HaltInfo] = None
 
     def __len__(self) -> int:

@@ -17,10 +17,12 @@ as in the csv module's default dialect: index,x,y for the baselines and
 index,x,y,J1,J2,meshResidual for the invariant method, whose seed rows
 read "i,x,y,,," and whose order-2 rows leave J2 blank.  Floats are written
 as %.17g, so files are byte-deterministic and re-parse exactly.  Timings
-live only in the report JSON.  The default output directory is --out, then the config's output
-field, then $INVSCHEME_OUT, then the working directory.  A rerun into the
-same directory overwrites each output in place and cuts it to its new
-length.
+live only in the report JSON: each driver reads the clock once before and
+once after its stepping phase, and the report divides that wall time by
+the method's new points.  The default output directory is --out, then
+the config's output field, then $INVSCHEME_OUT, then the working
+directory.  A rerun into the same directory overwrites each output in
+place and cuts it to its new length.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ import csv
 import json
 import math
 import os
-import statistics
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -221,7 +222,7 @@ def config_from_raw(raw: dict) -> ExperimentConfig:
             f"methods must list at least one method, each once, got {methods_raw!r}"
         )
     if order == 2 and "invariant" in methods_raw:
-        if "C" not in ics or "a" not in ics:
+        if "a" not in ics:
             raise ConfigError("the order-2 invariant method needs C and a")
         if ics["C"] < 0.0:
             raise ConfigError(
@@ -348,12 +349,17 @@ def _initial_slope(cfg: ExperimentConfig) -> float:
         return slope_at(sol, Point2(xn, _conic_branch_y(sol, xn, y0)))
 
 
-# Each driver returns the trajectory and how many of its points are seeds.
+# Each driver returns the trajectory and how many of its points are seeds,
+# and sets the trajectory's seconds to the wall time of its stepping phase:
+# two clock reads around the loop, none inside it.
 
 
 def _drive_invariant(cfg: ExperimentConfig) -> tuple[Trajectory, int]:
     state = bootstrap(cfg.realization, cfg.order, cfg.ics, cfg.h, f=cfg.f)
-    return run_scheme(state, cfg.max_steps, cfg.x_window), len(state.window)
+    t0 = time.perf_counter()
+    traj = run_scheme(state, cfg.max_steps, cfg.x_window)
+    traj.seconds = time.perf_counter() - t0
+    return traj, len(state.window)
 
 
 def _drive_standard_fd(cfg: ExperimentConfig) -> tuple[Trajectory, int]:
@@ -371,33 +377,34 @@ def _drive_standard_fd(cfg: ExperimentConfig) -> tuple[Trajectory, int]:
         ys = [curve(x0 + i * cfg.h).y for i in range(3)]
     width = cfg.order
     traj = Trajectory([x0 + i * cfg.h for i in range(len(ys))], ys)
+    t0 = time.perf_counter()
     for _ in range(cfg.max_steps):
         i = len(ys)
         x_next = x0 + i * cfg.h
         x1 = x0 + (i - width + 1) * cfg.h
         guess = 2.0 * ys[-1] - ys[-2]
-        t0 = time.perf_counter()
         try:
             y_next = standard_fd_step(problem.residual, ys[-width:], x1, cfg.h, guess)
         except NumericError as exc:
             traj.halt = HaltInfo(exc.kind, x=x_next, detail=exc.detail)
-            return traj, width
+            break
         except (ValueError, OverflowError, ZeroDivisionError) as exc:
             traj.halt = HaltInfo("numericError", x=x_next, detail=str(exc))
-            return traj, width
-        traj.step_seconds.append(time.perf_counter() - t0)
+            break
         traj.xs.append(x_next)
         ys.append(y_next)
         if abs(y_next) > 1e8:
             traj.halt = HaltInfo("singularityDetected", x=x_next, detail="|y| > 1e8")
-            return traj, width
+            break
         if not (cfg.x_window[0] <= x_next <= cfg.x_window[1]):
             traj.halt = HaltInfo(
                 "xRangeExit", x=x_next,
                 detail=f"left [{cfg.x_window[0]}, {cfg.x_window[1]}]",
             )
-            return traj, width
-    traj.halt = HaltInfo("maxSteps", x=traj.xs[-1], detail=f"{cfg.max_steps} steps")
+            break
+    else:
+        traj.halt = HaltInfo("maxSteps", x=traj.xs[-1], detail=f"{cfg.max_steps} steps")
+    traj.seconds = time.perf_counter() - t0
     return traj, width
 
 
@@ -423,10 +430,8 @@ def _drive_rk45(cfg: ExperimentConfig) -> tuple[Trajectory, int]:
         x=result.halt_x,
         detail=result.detail,
     )
-    # The integrator is timed as a whole, so every step gets the mean.
-    steps = max(1, len(result.xs) - 1)
     ys = [st[0] for st in result.states]
-    return Trajectory(result.xs, ys, halt=halt, step_seconds=[elapsed / steps] * steps), 1
+    return Trajectory(result.xs, ys, halt=halt, seconds=elapsed), 1
 
 
 _DRIVERS = {
@@ -580,8 +585,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> RunR
         if method == "invariant" and traj.diagnostics:
             entry.mesh_drift = max(d.mesh_residual for d in traj.diagnostics)
             entry.scheme_drift = max(d.scheme_residual for d in traj.diagnostics)
-        if traj.step_seconds:
-            entry.wall_seconds_per_step = sum(traj.step_seconds) / len(traj.step_seconds)
+        if traj.seconds is not None and entry.new_points > 0:
+            entry.wall_seconds_per_step = traj.seconds / entry.new_points
         entry.singularity = detect_singularity(traj)
         filename = f"{cfg.name}_{method}.csv"
         _write_lines(directory / filename, _csv_lines(method, traj, seed))
@@ -607,40 +612,6 @@ def _write_lines(path: Path, lines: Iterable[str]) -> None:
         while chunk := "".join(islice(it, 1024)):
             fh.write(chunk)
         fh.truncate()
-
-
-# -- step-cost benchmark -------------------------------------------------------
-
-
-def benchmark_step_cost(cfg: ExperimentConfig) -> dict:
-    """Median wall seconds per accepted step, per requested method.
-
-    Runs each method's driver once, as run_experiment does, and takes the
-    median of the per-step times it records: the invariant scheme and
-    standardFD time every accepted step, up to the config's step budget or
-    the halt.  The adaptive integrator is timed as a whole, so its figure
-    is the mean over its accepted steps.  The soft expectation that the
-    invariant scheme costs no more per step than standardFD is returned as
-    a flag, never asserted.
-    """
-    per_step: dict[str, float] = {}
-    steps_measured: dict[str, int] = {}
-    for method in cfg.methods:
-        try:
-            times = _DRIVERS[method](cfg)[0].step_seconds
-        except NumericError:
-            times = []
-        if times:
-            per_step[method] = statistics.median(times)
-            steps_measured[method] = len(times)
-    soft = None
-    if "invariant" in per_step and "standardFD" in per_step:
-        soft = per_step["invariant"] <= per_step["standardFD"]
-    return {
-        "secondsPerStep": per_step,
-        "stepsMeasured": steps_measured,
-        "softInvariantFasterOrEqual": soft,
-    }
 
 
 # -- command line --------------------------------------------------------------

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import DomainViolation, Point2, RealizationId
+from .core import DomainViolation, Point2, RealizationId, validate_point
 
 _RADICAND_SLACK = 1e-12
 
@@ -92,7 +92,7 @@ def cont_i2_sl4(jet: JetPoint) -> float:
 
 def _require_domain(*points: Point2) -> None:
     for p in points:
-        if not (p.is_finite() and p.x > 0.0):
+        if not validate_point(p):
             raise DomainViolation("point outside half plane x > 0", p)
 
 

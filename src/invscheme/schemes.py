@@ -28,7 +28,6 @@ NoIntersection, which a runner records as the halting event.
 from __future__ import annotations
 
 import math
-import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
@@ -698,18 +697,17 @@ def run_scheme(
     """Repeat the step until max steps, x-range exit, or a numeric halt.
 
     The trajectory starts with the window points and records per-step
-    diagnostics and the wall seconds of every accepted step; whatever stops
-    the run, in the step or in advancing the state past it, is stored in
-    the halt record, so failures are data rather than exceptions.  A point
-    that lands outside x_window is kept (it is the evidence of the exit).
+    diagnostics; whatever stops the run, in the step or in advancing the
+    state past it, is stored in the halt record, so failures are data
+    rather than exceptions.  A point that lands outside x_window is kept
+    (it is the evidence of the exit).  The loop reads no clock: the caller
+    times the whole call.
     """
     traj = Trajectory([p.x for p in state.window], [p.y for p in state.window])
     if max_steps <= 0:
         traj.halt = HaltInfo("maxSteps", x=state.window[-1].x, detail="0 steps requested")
         return traj
     add_x, add_y, add_diag = traj.xs.append, traj.ys.append, traj.diagnostics.append
-    add_seconds, clock = traj.step_seconds.append, time.perf_counter
-    t0 = clock()
     for _ in range(max_steps):
         try:
             p_next, diag = step_with_diagnostics(state)
@@ -720,9 +718,6 @@ def run_scheme(
         add_x(p_next.x)
         add_y(p_next.y)
         add_diag(diag)
-        t1 = clock()
-        add_seconds(t1 - t0)
-        t0 = t1
         if x_window is not None and not (x_window[0] <= p_next.x <= x_window[1]):
             traj.halt = HaltInfo(
                 "xRangeExit", x=p_next.x,

@@ -24,7 +24,6 @@ from invscheme import (
     SchemeSpec,
     SchemeState,
     act,
-    benchmark_step_cost,
     bootstrap,
     builtin_experiments,
     cont_i1_sl3,
@@ -505,21 +504,24 @@ def test_criterion_10_expanded_equations_match_invariants(capfd):
                 done += 1
 
 
-def test_criterion_11_step_cost_benchmark(capfd):
+def test_criterion_11_step_cost_benchmark(runs, capfd):
     """Per-step cost is reported for every method on both third-order
     experiments; the invariant-vs-standardFD comparison is informational."""
     details = []
-    with _criterion(capfd, 11, "step costs benchmarked", detail=details):
+    with _criterion(capfd, 11, "step costs reported", detail=details):
         notes = []
         for name in ("fig2", "fig4"):
-            out = benchmark_step_cost(_builtin(name))
-            per_step = out["secondsPerStep"]
-            assert {"invariant", "standardFD", "rk45"} <= set(per_step)
-            for method, cost in per_step.items():
-                assert cost > 0.0 and math.isfinite(cost)
-                assert out["stepsMeasured"][method] >= 1
-            assert isinstance(out["softInvariantFasterOrEqual"], bool)
-            notes.append(f"{name} invariant<=standardFD: {out['softInvariantFasterOrEqual']}")
+            entries = runs[name][0].entries
+            assert {"invariant", "standardFD", "rk45"} <= set(entries)
+            for entry in entries.values():
+                cost = entry.wall_seconds_per_step
+                assert cost is not None and cost > 0.0 and math.isfinite(cost)
+                assert entry.new_points >= 1
+            soft = (
+                entries["invariant"].wall_seconds_per_step
+                <= entries["standardFD"].wall_seconds_per_step
+            )
+            notes.append(f"{name} invariant<=standardFD: {soft}")
         details.append("; ".join(notes))
 
 

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -22,7 +23,6 @@ from invscheme.harness import (
     MethodReport,
     SingularityFlag,
     _csv_lines,
-    benchmark_step_cost,
     builtin_experiments,
     cli_main,
     config_from_raw,
@@ -335,17 +335,37 @@ def test_report_entries_carry_the_expected_fields(tmp_path):
     assert (tmp_path / "fig1_standardFD.csv").exists()
 
 
-def test_benchmark_reports_per_method_costs():
-    raw = _builtin("fig2").as_raw()
-    raw["maxSteps"] = 60
-    out = benchmark_step_cost(config_from_raw(raw))
-    per_step = out["secondsPerStep"]
-    assert set(per_step) <= {"invariant", "standardFD", "rk45"}
-    assert {"invariant", "standardFD"} <= set(per_step)
-    for method, cost in per_step.items():
-        assert cost > 0.0 and math.isfinite(cost)
-        assert out["stepsMeasured"][method] >= 1
-    assert isinstance(out["softInvariantFasterOrEqual"], bool)
+def test_step_cost_is_null_exactly_when_a_method_takes_no_step(tmp_path):
+    """rk45 takes no step from x0 at the window's right end, while the
+    stepping methods keep the one point that leaves it."""
+    raw = {
+        "name": "edge", "realization": "sl3", "order": "Second",
+        "x0": 1.0, "y0": 8.0, "C": 2.0, "a": 1.0, "xWindow": [0.0, 1.0],
+        "maxSteps": 5, "methods": ["invariant", "standardFD", "rk45"],
+    }
+    run_experiment(config_from_raw(raw), str(tmp_path))
+    methods = json.loads((tmp_path / "edge_report.json").read_text())["methods"]
+    assert methods["rk45"]["newPoints"] == 0
+    for entry in methods.values():
+        cost = entry["wallSecondsPerStep"]
+        if entry["newPoints"] == 0:
+            assert cost is None
+        else:
+            assert cost > 0.0 and math.isfinite(cost)
+
+
+@pytest.mark.parametrize("max_steps", [20, 200])
+@pytest.mark.parametrize("name", ["fig1", "fig3"])
+def test_standard_fd_driver_reads_the_clock_twice(name, max_steps, monkeypatch):
+    """fig1 halts on its second solve; fig3 takes 20 of 20 steps and 198
+    of 200, so both exits and a long loop are timed by the same two reads."""
+    calls = []
+    clock = time.perf_counter
+    monkeypatch.setattr(time, "perf_counter", lambda: calls.append(1) or clock())
+    cfg = dataclasses.replace(_builtin(name), max_steps=max_steps)
+    traj, _ = _DRIVERS["standardFD"](cfg)
+    monkeypatch.undo()
+    assert len(calls) == 2 and traj.seconds > 0.0
 
 
 @pytest.mark.parametrize("name", ["fig1", "fig2", "fig3", "fig4"])

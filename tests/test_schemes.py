@@ -4,6 +4,7 @@ import math
 import random
 import re
 import sys
+import time
 from collections import Counter
 
 import numpy as np
@@ -592,6 +593,18 @@ def test_run_scheme_steps_through_the_module_seams(name, monkeypatch):
     traj = run_scheme(state, 50, cfg.x_window)
     assert len(traj.diagnostics) == 50
     assert calls == {"step_with_diagnostics": 50, "advance_state": 50}
+
+
+def test_run_scheme_reads_no_clock(monkeypatch):
+    """The stepping loop is untimed; the harness driver times the call."""
+    cfg, state = _builtin_start("fig1")
+    calls = []
+    clock = time.perf_counter
+    monkeypatch.setattr(time, "perf_counter", lambda: calls.append(1) or clock())
+    traj = run_scheme(state, 200, cfg.x_window)
+    monkeypatch.undo()
+    assert len(traj.diagnostics) == 200
+    assert calls == []
 
 
 def test_degenerate_window_rejected():
