@@ -175,10 +175,10 @@ def ode_rhs_library(
     I2 = F(I1); F = square gets the denominator-cleared polynomial
     residual, any other callable gets I2 - F(I1).
     """
+    sigma = realization.sigma
     if order == 2:
         if C is None:
             raise ValueError("order-2 ODE needs C")
-        sigma = 1.0 if realization is RealizationId.SL3 else -1.0
 
         def residual2(x: float, yp: float, ypp: float) -> float:
             return _i1(sigma, x, yp, ypp) - C
@@ -195,12 +195,10 @@ def ode_rhs_library(
                 else expanded_residual_sl4
             )
         else:
-            cont_i1 = cont_i1_sl3 if realization is RealizationId.SL3 else cont_i1_sl4
             cont_i2 = cont_i2_sl3 if realization is RealizationId.SL3 else cont_i2_sl4
 
             def residual3(x: float, yp: float, ypp: float, yppp: float) -> float:
-                jet = JetPoint(x, yp, ypp, yppp)
-                return cont_i2(jet) - F(cont_i1(jet))
+                return cont_i2(JetPoint(x, yp, ypp, yppp)) - F(_i1(sigma, x, yp, ypp))
 
         solved3 = _solved_yppp(realization, F)
 

@@ -13,10 +13,24 @@ from typing import Callable, Optional
 
 
 class RealizationId(enum.Enum):
-    """Which realization of sl(2,R) the scheme or invariant belongs to."""
+    """Which realization of sl(2,R) the scheme or invariant belongs to.
 
-    SL3 = "sl3"
-    SL4 = "sl4"
+    The value is the name.  Each member also carries, as plain attributes,
+    the constants of the formulas the two realizations share: sigma (1 for
+    sl3, -1 for sl4; w = y + jx with j^2 = -sigma), the level-set map
+    level = (a, b) of schemes._line, the J1 pair j1_pair = (j0, j1) of
+    invariants._window_j1, and the J2 shift j2_shift = (g2, g0) of
+    invariants._j2 and of the order-3 update in schemes.scheme_targets.
+    """
+
+    def __new__(cls, value, sigma, level, j1_pair, j2_shift):
+        member = object.__new__(cls)
+        member._value_, member.sigma, member.level = value, sigma, level
+        member.j1_pair, member.j2_shift = j1_pair, j2_shift
+        return member
+
+    SL3 = "sl3", 1.0, (1.0, 0.0), (1.0, -8.0), (0.0, 0.0)
+    SL4 = "sl4", -1.0, (4.0, 1.0), (-2.0, 2.0), (6.0, 3.0)
 
 
 @dataclass(frozen=True)

@@ -94,12 +94,12 @@ class ExperimentConfig:
     realization: RealizationId
     order: int
     ics: dict[str, float]
-    f_name: str = "square"
-    h: float = 0.01
-    max_steps: int = 5000
-    x_window: tuple[float, float] = (0.0, 0.0)
-    methods: tuple[str, ...] = ("invariant", "standardFD")
-    output: Optional[str] = None
+    f_name: str
+    h: float
+    max_steps: int
+    x_window: tuple[float, float]
+    methods: tuple[str, ...]
+    output: Optional[str]
 
     @property
     def f(self) -> Callable[[float], float]:

@@ -149,8 +149,9 @@ def _window_j1(
     i1n: float, i1n1: float, i2: float, where: Point2,
 ) -> float:
     """J1 from the window fraction num / den = I2^2 - I1n^2 - I1n1^2 and
-    the window's pair invariants; where is the window's middle point.
-    Raises window_j1_from_pairs's errors, in its order."""
+    the window's pair invariants, as J1^2 = j0 + j1 (I2 - I1n - I1n1) /
+    (I1n I1n1 (I1n + I1n1)) with (j0, j1) the realization's j1_pair; where
+    is the window's middle point.  Raises window_j1_from_pairs's errors."""
     if den == 0.0:
         what = "x-product" if realization is RealizationId.SL3 else "denominator product"
         raise DomainViolation(f"window {what} underflows to zero", where)
@@ -160,10 +161,8 @@ def _window_j1(
     if denom == 0.0 or (i2 + i1n + i1n1) == 0.0:
         raise DomainViolation("degenerate window (coincident points)", where)
     q_val = n_val / (i2 + i1n + i1n1)
-    if realization is RealizationId.SL3:
-        rad = 1.0 - 8.0 * q_val / denom
-    else:
-        rad = 2.0 * (q_val / denom - 1.0)
+    j0, j1 = realization.j1_pair
+    rad = j0 + j1 * (q_val / denom)
     if rad < 0.0:
         if rad <= -_RADICAND_SLACK:
             raise DomainViolation("window J1 has negative radicand", rad)
@@ -218,11 +217,9 @@ def window_j1(realization: RealizationId, pa: Point2, pb: Point2, pc: Point2) ->
 
 def _j2(realization: RealizationId, j1a: float, j1b: float, s: float) -> float:
     """J2 from the J1s of two overlapping 3-point windows and the sum s of
-    the three consecutive pair invariants they span."""
-    j2 = 3.0 * (j1b - j1a) / s
-    if realization is RealizationId.SL4:
-        j2 = j2 + 6.0 * j1a * j1a + 3.0
-    return j2
+    the three consecutive pair invariants they span, plus g2 j1a^2 + g0."""
+    g2, g0 = realization.j2_shift
+    return 3.0 * (j1b - j1a) / s + g2 * j1a * j1a + g0
 
 
 def window_j2(

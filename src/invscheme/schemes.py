@@ -123,14 +123,15 @@ def scheme_targets(state: SchemeState) -> tuple[float, Optional[float]]:
     pair's target M and, at order 3, the update rule's next J1, else None.
 
     M solves the J1 formula for the outer pair invariant: with s = i1n +
-    i1n1 and q = i1n * i1n1, sl3 gives M = s + q*s*(1 - t^2)/8 and sl4
-    gives M = s + q*s*(1 + t^2/2), where t is the J1 to meet.
+    i1n1 and q = i1n * i1n1, M = s + q*s*((t^2 - j0)/j1), where t is the J1
+    to meet.  The update rule steps J1 by G(tau) = F(tau) - g2 tau^2 - g0;
+    (j0, j1) and (g2, g0) are the realization's j1_pair and j2_shift.
 
     Raises NoIntersection when the targets are geometrically impossible
     (negative J1 target on the principal branch, or nonpositive M).
     """
     spec = state.spec
-    k, sl3 = spec.K, spec.realization is RealizationId.SL3
+    k, realization = spec.K, spec.realization
     if spec.order == 2:
         (i1n,) = state.pairs
         s, q, t, j1_next = i1n + k, i1n * k, spec.C, None
@@ -138,17 +139,16 @@ def scheme_targets(state: SchemeState) -> tuple[float, Optional[float]]:
         i1n, i1n1 = state.pairs
         s3 = i1n + i1n1 + k
         tau = state.last_j1
-        if sl3:
-            j1_next = tau + s3 / 3.0 * spec.F(tau)
-        else:
-            j1_next = tau + s3 / 3.0 * (spec.F(tau) - 6.0 * tau * tau - 3.0)
+        g2, g0 = realization.j2_shift
+        j1_next = tau + s3 / 3.0 * (spec.F(tau) - g2 * tau * tau - g0)
         if j1_next < 0.0:
             raise NoIntersection(
                 f"J1 target {j1_next:.3e} is negative on the principal branch",
                 state.window[-1],
             )
         s, q, t = i1n1 + k, i1n1 * k, j1_next
-    m = s + q * s * (1.0 - t * t) / 8.0 if sl3 else s + q * s * (1.0 + t * t / 2.0)
+    j0, j1 = realization.j1_pair
+    m = s + q * s * ((t * t - j0) / j1)
     if m <= 0.0:
         raise NoIntersection(
             f"outer pair invariant target {m:.3e} is not positive",
@@ -178,14 +178,12 @@ def _line(
 
     Both realizations' level sets {p : pair invariant of (r, p) = t} are
     sigma (x - r.x)^2 + (y - r.y)^2 = c_t r.x x, sigma x^2 + y^2 + qx x +
-    qy y + q0 = 0 expanded, with (sigma, c_t) = (1, t^2) for sl3 and
-    (-1, 4 t^2 / (1 + t^2)) for sl4.  The mesh conic is that of (p_last,
-    K), the outer one that of (p_prev, M), and the line their difference.
+    qy y + q0 = 0 expanded, with c_t = a (t^2 / (1 + b t^2)) for the
+    realization's level (a, b).  The mesh conic is that of (p_last, K),
+    the outer one that of (p_prev, M), and the line their difference.
     """
-    if realization is RealizationId.SL3:
-        sigma, c_k, c_m = 1.0, k * k, m * m
-    else:
-        sigma, c_k, c_m = -1.0, 4.0 * (k * k / (1.0 + k * k)), 4.0 * (m * m / (1.0 + m * m))
+    sigma, (ca, cb) = realization.sigma, realization.level
+    c_k, c_m = ca * (k * k / (1.0 + cb * k * k)), ca * (m * m / (1.0 + cb * m * m))
     lx, ly, px, py = p_last.x, p_last.y, p_prev.x, p_prev.y
     qx, qy, q0 = -(2.0 * sigma + c_k) * lx, -2.0 * ly, sigma * lx * lx + ly * ly
     ox, oy, o0 = -(2.0 * sigma + c_m) * px, -2.0 * py, sigma * px * px + py * py

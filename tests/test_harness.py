@@ -15,11 +15,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from invscheme import harness
-from invscheme.core import Point2, StepDiagnostics, Trajectory
+from invscheme.core import Point2, RealizationId, StepDiagnostics, Trajectory
+from invscheme.exact import fit_hyperbola, param_of, point_at
 from invscheme.harness import (
     _CONFIG_KEYS,
     _DRIVERS,
     ConfigError,
+    ExperimentConfig,
     MethodReport,
     SingularityFlag,
     _csv_lines,
@@ -30,7 +32,7 @@ from invscheme.harness import (
     read_trajectory_csv,
     run_experiment,
 )
-from invscheme.invariants import disc_i1_sl3
+from invscheme.invariants import disc_i1_sl3, disc_i1_sl4
 from invscheme.schemes import bootstrap, run_scheme
 
 from helpers import all_singularities, csv_oracle_bytes
@@ -49,6 +51,18 @@ def test_builtins_roundtrip_through_raw_form():
     for cfg in cfgs:
         again = config_from_raw(cfg.as_raw())
         assert again == cfg
+
+
+def test_experiment_config_has_no_field_defaults():
+    """Every field is given: config_from_raw, the only constructor, passes
+    them all, and defaults of the record's own would disagree with it (an
+    x-window of (0, 0) ends a run after one step; the method list would
+    miss rk45 at order 3)."""
+    ics = {"x0": 1.0, "y0": 8.0, "C": 2.0, "a": 1.0}
+    with pytest.raises(TypeError):
+        ExperimentConfig("t", RealizationId.SL3, 2, ics)
+    for f in dataclasses.fields(ExperimentConfig):
+        assert f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
 
 
 def test_config_rejects_unknown_fields():
@@ -560,18 +574,28 @@ def test_cli_usage_errors(capsys):
     assert "usage" in capsys.readouterr().err
 
 
-def test_cli_invariants_prints_the_invariant_ladder(capsys):
-    pts = [Point2(2.0 + math.cos(t), 8.0 + math.sin(t))
-           for t in (2.0, 2.1, 2.2, 2.3)]
+def _ladder_points(realization):
+    """Four points on fig1's circle (sl3) or on fig3's hyperbola (sl4)."""
+    if realization == "sl3":
+        return [Point2(2.0 + math.cos(t), 8.0 + math.sin(t)) for t in (2.0, 2.1, 2.2, 2.3)]
+    sol = fit_hyperbola(Point2(2.0, 5.0), 5.0, 1.0)[0]
+    t0 = param_of(sol, Point2(2.0, 5.0))
+    return [point_at(sol, t0 + 0.05 * i, -1) for i in range(4)]
+
+
+@pytest.mark.parametrize("realization", ["sl3", "sl4"])
+def test_cli_invariants_prints_the_invariant_ladder(realization, capsys):
+    pts = _ladder_points(realization)
+    disc = disc_i1_sl3 if realization == "sl3" else disc_i1_sl4
     arg = ";".join(f"{p.x},{p.y}" for p in pts)
-    assert cli_main(["invariants", "--realization", "sl3", "--points", arg]) == 0
+    assert cli_main(["invariants", "--realization", realization, "--points", arg]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 3 + 2 + 1
     assert lines[0].startswith("disc_I1[0,1] = ")
     assert lines[3].startswith("J1[0..2] = ")
     assert lines[5].startswith("J2[0..3] = ")
     printed = float(lines[0].split(" = ")[1])
-    assert printed == pytest.approx(disc_i1_sl3(pts[0], pts[1]), rel=1e-15)
+    assert printed == pytest.approx(disc(pts[0], pts[1]), rel=1e-15)
 
 
 def test_cli_invariants_rejects_malformed_points(capsys):
