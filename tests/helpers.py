@@ -16,19 +16,30 @@ from invscheme import (
     NoIntersection,
     Point2,
     RealizationId,
+    SchemeSpec,
+    SchemeState,
+    builtin_experiments,
     disc_i1_sl3,
     disc_i1_sl4,
+    fit_circle,
+    fit_hyperbola,
     rk45_integrate,
+    window_j1,
 )
 from invscheme.baselines import _STAGE_ERRORS
 from invscheme.exact import _bisect_param
 from invscheme.group_action import GroupElement
 from invscheme.harness import _singularities
 from invscheme.invariants import _RADICAND_SLACK, window_j1_from_pairs
-from invscheme.schemes import reduce_to_line_conic, turning_side
+from invscheme.schemes import reduce_to_line_conic, square, turning_side
 
 
 IDENTITY = GroupElement(1.0, 0.0, 0.0, 1.0)
+
+
+def builtin(name: str):
+    """The builtin experiment config called name."""
+    return {cfg.name: cfg for cfg in builtin_experiments()}[name]
 
 
 def compose(g1: GroupElement, g2: GroupElement) -> GroupElement:
@@ -369,6 +380,79 @@ def next_hyperbola_point(
         if hi > 50.0:
             raise DomainViolation("pair-invariant step does not fit on the branch", k)
     return t + direction * _bisect_param(gap, 0.0, hi, -k)
+
+
+# Random admissible windows on exact conics, for the oracles of the step.
+
+
+def random_sl3_window(rng, order):
+    """Equal-spacing window on a random circle with its scheme state, or
+    None when the draw leaves the domain."""
+    try:
+        c = rng.uniform(0.5, 3.0)
+        a = rng.uniform(0.5, 2.0)
+        x0 = rng.uniform(0.8, 2.5)
+        sol = fit_circle(Point2(x0, rng.uniform(-1.0, 6.0)), c, a)[0]
+        if sol.cx - sol.r <= 0.05:
+            return None
+        k_chord = sol.r * rng.uniform(0.02, 0.05)
+        t0 = rng.uniform(0.3, 1.2)
+        params = [t0]
+        for _ in range(order - 1):
+            params.append(next_circle_point(sol, params[-1], k_chord, +1))
+        pts = [sol.point(t) for t in params]
+        k = disc_i1_sl3(pts[0], pts[1])
+        if order == 2:
+            spec = SchemeSpec(RealizationId.SL3, 2, K=k, C=c)
+            return SchemeState(tuple(pts), spec)
+        tau = window_j1(RealizationId.SL3, *pts)
+    except DomainViolation:
+        return None
+    spec = SchemeSpec(RealizationId.SL3, 3, K=k, F=square)
+    side = turning_side(*pts)
+    return SchemeState(tuple(pts), spec, last_j1=tau, side=side)
+
+
+def random_sl4_window(rng, order):
+    """Equal-spacing window on a random hyperbola branch with its scheme
+    state, or None when the draw leaves the domain."""
+    try:
+        c = rng.uniform(2.0, 6.0)
+        a = rng.uniform(0.5, 1.5)
+        sol = fit_hyperbola(Point2(rng.uniform(1.0, 3.0), rng.uniform(0.0, 5.0)), c, a)[0]
+        t0 = rng.uniform(-0.8, 0.8)
+        k_inv = rng.uniform(0.02, 0.08)
+        branch = -1 if sol.cx > 0 else +1
+        params = [t0]
+        for _ in range(order - 1):
+            params.append(next_hyperbola_point(sol, params[-1], k_inv, +1))
+        pts = [sol.point(t, branch=branch) for t in params]
+        if min(p.x for p in pts) <= 0.05:
+            return None
+        k = disc_i1_sl4(pts[0], pts[1])
+        if order == 2:
+            spec = SchemeSpec(RealizationId.SL4, 2, K=k, C=c)
+            return SchemeState(tuple(pts), spec)
+        tau = window_j1(RealizationId.SL4, *pts)
+    except DomainViolation:
+        return None
+    spec = SchemeSpec(RealizationId.SL4, 3, K=k, F=square)
+    side = turning_side(*pts)
+    return SchemeState(tuple(pts), spec, last_j1=tau, side=side)
+
+
+def extrapolated(state) -> Point2:
+    """Continuation guess: quadratic through a three-point window (a
+    linear guess sits halfway between the step's mirror roots and would
+    make the Newton basin a coin flip), linear through a two-point one."""
+    w = state.window
+    if len(w) >= 3:
+        return Point2(
+            w[-3].x - 3 * w[-2].x + 3 * w[-1].x,
+            w[-3].y - 3 * w[-2].y + 3 * w[-1].y,
+        )
+    a, b = w[-2], w[-1]
+    return Point2(2 * b.x - a.x, 2 * b.y - a.y)
 
 
 # The textbook J1 and J2 formulas on rounded pair invariants: an oracle for

@@ -35,11 +35,7 @@ from invscheme.harness import (
 from invscheme.invariants import disc_i1_sl3, disc_i1_sl4
 from invscheme.schemes import bootstrap, run_scheme
 
-from helpers import all_singularities, csv_oracle_bytes
-
-
-def _builtin(name):
-    return {cfg.name: cfg for cfg in builtin_experiments()}[name]
+from helpers import all_singularities, builtin, csv_oracle_bytes
 
 
 # -- configuration -------------------------------------------------------------
@@ -67,21 +63,21 @@ def test_experiment_config_has_no_field_defaults():
 
 def test_config_rejects_unknown_fields():
     for key, value in (("splines", True), ("seed", 7)):
-        raw = _builtin("fig1").as_raw()
+        raw = builtin("fig1").as_raw()
         raw[key] = value
         with pytest.raises(ConfigError, match="unknown config fields"):
             config_from_raw(raw)
 
 
 def test_order3_config_requires_second_derivative():
-    raw = _builtin("fig2").as_raw()
+    raw = builtin("fig2").as_raw()
     del raw["ypp0"]
     with pytest.raises(ConfigError, match="ypp0"):
         config_from_raw(raw)
 
 
 def test_config_requires_positive_x0():
-    raw = _builtin("fig1").as_raw()
+    raw = builtin("fig1").as_raw()
     for bad in (0.0, -1.0):
         raw["x0"] = bad
         with pytest.raises(ConfigError, match="x0 must be positive"):
@@ -89,18 +85,18 @@ def test_config_requires_positive_x0():
 
 
 def test_config_rejects_unknown_method_and_f():
-    raw = _builtin("fig1").as_raw()
+    raw = builtin("fig1").as_raw()
     raw["methods"] = ["simpson"]
     with pytest.raises(ConfigError, match="unknown method"):
         config_from_raw(raw)
-    raw = _builtin("fig2").as_raw()
+    raw = builtin("fig2").as_raw()
     raw["F"] = "cubic"
     with pytest.raises(ConfigError, match="unknown F"):
         config_from_raw(raw)
 
 
 def test_config_rejects_descending_window():
-    raw = _builtin("fig1").as_raw()
+    raw = builtin("fig1").as_raw()
     raw["xWindow"] = [4.0, 1.0]
     with pytest.raises(ConfigError, match="xWindow"):
         config_from_raw(raw)
@@ -120,7 +116,7 @@ def test_short_trajectories_are_never_flagged():
 
 
 def test_circle_run_flags_both_vertical_tangents():
-    cfg = _builtin("fig1")
+    cfg = builtin("fig1")
     state = bootstrap(cfg.realization, cfg.order, cfg.ics, cfg.h, f=cfg.f)
     traj = run_scheme(state, 1200, cfg.x_window)
     flags = all_singularities(traj)
@@ -131,7 +127,7 @@ def test_circle_run_flags_both_vertical_tangents():
 
 
 def test_rk45_derivative_blowup_is_flagged_near_halt(tmp_path):
-    raw = _builtin("fig2").as_raw()
+    raw = builtin("fig2").as_raw()
     raw["methods"] = ["rk45"]
     report = run_experiment(config_from_raw(raw), out_dir=str(tmp_path))
     entry = report.entries["rk45"]
@@ -147,7 +143,7 @@ def test_rk45_derivative_blowup_is_flagged_near_halt(tmp_path):
 
 
 def test_invariant_csv_is_deterministic_and_reparses(tmp_path):
-    raw = _builtin("fig2").as_raw()
+    raw = builtin("fig2").as_raw()
     raw["maxSteps"] = 80
     cfg = config_from_raw(raw)
     run_experiment(cfg, out_dir=str(tmp_path / "a"))
@@ -174,7 +170,7 @@ def test_invariant_csv_is_deterministic_and_reparses(tmp_path):
 def test_csv_bytes_match_the_csv_module(tmp_path, name):
     """Every method's CSV holds the bytes csv.writer writes for its
     trajectory, field by field, at h = 0.01."""
-    raw = _builtin(name).as_raw()
+    raw = builtin(name).as_raw()
     raw["methods"] = ["invariant", "standardFD", "rk45"]
     cfg = config_from_raw(raw)
     run_experiment(cfg, out_dir=str(tmp_path))
@@ -188,7 +184,7 @@ def test_order2_baselines_start_from_the_same_slope():
     """A config that sets both a and yp0 gives both order-2 baselines the
     initial slope yp0: standardFD's second value is y0 + h*yp0, not the
     fitted conic's, and rk45's first chord leaves along the same slope."""
-    raw = _builtin("fig1").as_raw()
+    raw = builtin("fig1").as_raw()
     raw.update(x0=1.5, y0=8.0, C=2.0, a=1.0, yp0=3.0, h=0.01, maxSteps=5)
     cfg = config_from_raw(raw)
     fd, _ = _DRIVERS["standardFD"](cfg)
@@ -251,9 +247,9 @@ def test_rk45_driver_builds_no_point2(monkeypatch, name):
             super().__init__(x, y)
 
     monkeypatch.setattr(harness, "Point2", CountingPoint2)
-    harness._exact_conic(_builtin("fig1"))
+    harness._exact_conic(builtin("fig1"))
     assert len(built) == 1  # the patch sees the harness's Point2s
-    traj, _ = _DRIVERS["rk45"](_builtin(name))
+    traj, _ = _DRIVERS["rk45"](builtin(name))
     assert len(traj) > 10 and len(built) == 1
 
 
@@ -277,7 +273,7 @@ def test_rerun_rewrites_every_output_in_place(tmp_path, name):
     """A rerun into the same directory with a smaller step budget leaves
     each CSV byte-identical to the smaller run's in a fresh directory:
     the longer run's tail is cut off."""
-    raw = _builtin(name).as_raw()
+    raw = builtin(name).as_raw()
     raw["methods"] = ["invariant", "standardFD", "rk45"]
     again, fresh = tmp_path / "again", tmp_path / "fresh"
     run_experiment(config_from_raw(dict(raw, maxSteps=60)), str(again))
@@ -294,7 +290,7 @@ def test_rerun_rewrites_every_output_in_place(tmp_path, name):
 def test_run_cuts_a_longer_file_to_the_new_report(tmp_path):
     report_path = tmp_path / "fig1_report.json"
     report_path.write_bytes(b"junk " * 100_000)
-    raw = dict(_builtin("fig1").as_raw(), maxSteps=5)
+    raw = dict(builtin("fig1").as_raw(), maxSteps=5)
     report = run_experiment(config_from_raw(raw), str(tmp_path))
     want = json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n"
     assert report_path.read_bytes() == want.encode()
@@ -323,7 +319,7 @@ def test_overflowing_fit_is_recorded_by_every_method(tmp_path, capsys, realizati
 def test_empty_method_list_yields_empty_report(tmp_path):
     """config_from_raw rejects an empty method list, but a config built in
     code may still carry one; run_experiment then writes an empty report."""
-    cfg = dataclasses.replace(_builtin("fig1"), methods=())
+    cfg = dataclasses.replace(builtin("fig1"), methods=())
     report = run_experiment(cfg, out_dir=str(tmp_path))
     assert report.entries == {}
     assert not report.all_failed
@@ -332,7 +328,7 @@ def test_empty_method_list_yields_empty_report(tmp_path):
 
 
 def test_report_entries_carry_the_expected_fields(tmp_path):
-    raw = _builtin("fig1").as_raw()
+    raw = builtin("fig1").as_raw()
     raw["maxSteps"] = 40
     report = run_experiment(config_from_raw(raw), out_dir=str(tmp_path))
     payload = json.loads((tmp_path / "fig1_report.json").read_text())
@@ -376,7 +372,7 @@ def test_standard_fd_driver_reads_the_clock_twice(name, max_steps, monkeypatch):
     calls = []
     clock = time.perf_counter
     monkeypatch.setattr(time, "perf_counter", lambda: calls.append(1) or clock())
-    cfg = dataclasses.replace(_builtin(name), max_steps=max_steps)
+    cfg = dataclasses.replace(builtin(name), max_steps=max_steps)
     traj, _ = _DRIVERS["standardFD"](cfg)
     monkeypatch.undo()
     assert len(calls) == 2 and traj.seconds > 0.0
@@ -386,7 +382,7 @@ def test_standard_fd_driver_reads_the_clock_twice(name, max_steps, monkeypatch):
 def test_run_experiment_writes_nothing_to_the_console(name, tmp_path, capsys):
     """The library path prints nothing, so a caller that reports on its
     own standard output (as the benchmark does, on its last line) owns it."""
-    raw = _builtin(name).as_raw()
+    raw = builtin(name).as_raw()
     raw.update(maxSteps=20, methods=["invariant", "standardFD", "rk45"])
     report = run_experiment(config_from_raw(raw), str(tmp_path))
     assert set(report.entries) == {"invariant", "standardFD", "rk45"}

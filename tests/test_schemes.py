@@ -1,4 +1,8 @@
-"""Invariant-scheme steppers: exactness, conservation, oracles, guards."""
+"""Invariant-scheme steppers: exactness, conservation, oracles, guards.
+
+Agreement with direct Newton on random windows, and the reduction's
+cross-check against the pair equations, are acceptance criterion 08.
+"""
 
 import math
 import random
@@ -25,7 +29,6 @@ from invscheme import (
     SchemeState,
     act,
     bootstrap,
-    builtin_experiments,
     config_from_raw,
     disc_i1_sl3,
     disc_i1_sl4,
@@ -53,10 +56,13 @@ from invscheme.exact import conic_distance, next_chord_point, param_of, point_at
 from helpers import (
     ConicCoeffs,
     LineCoeffs,
+    builtin,
     general_conic_line,
     general_conic_step,
     next_circle_point,
     next_hyperbola_point,
+    random_sl3_window,
+    random_sl4_window,
     reduced,
     solve_line_conic,
 )
@@ -270,154 +276,7 @@ def test_order3_sl4_square_rhs_collapses_j1():
     assert n >= 15
 
 
-# -- random admissible windows for the oracle tests ----------------------------
-
-
-def _random_sl3_window(rng, order):
-    """Equal-spacing window on a random circle, plus its scheme spec."""
-    try:
-        c = rng.uniform(0.5, 3.0)
-        a = rng.uniform(0.5, 2.0)
-        x0 = rng.uniform(0.8, 2.5)
-        sol = fit_circle(Point2(x0, rng.uniform(-1.0, 6.0)), c, a)[0]
-        if sol.cx - sol.r <= 0.05:
-            return None
-        k_chord = sol.r * rng.uniform(0.02, 0.05)
-        t0 = rng.uniform(0.3, 1.2)
-        params = [t0]
-        for _ in range(order - 1):
-            params.append(next_circle_point(sol, params[-1], k_chord, +1))
-        pts = [sol.point(t) for t in params]
-        k = disc_i1_sl3(pts[0], pts[1])
-        if order == 2:
-            spec = SchemeSpec(RealizationId.SL3, 2, K=k, C=c)
-            return SchemeState(tuple(pts), spec)
-        tau = window_j1(RealizationId.SL3, *pts)
-    except DomainViolation:
-        return None
-    spec = SchemeSpec(RealizationId.SL3, 3, K=k, F=square)
-    side = turning_side(*pts)
-    return SchemeState(tuple(pts), spec, last_j1=tau, side=side)
-
-
-def _random_sl4_window(rng, order):
-    try:
-        c = rng.uniform(2.0, 6.0)
-        a = rng.uniform(0.5, 1.5)
-        sol = fit_hyperbola(Point2(rng.uniform(1.0, 3.0), rng.uniform(0.0, 5.0)), c, a)[0]
-        t0 = rng.uniform(-0.8, 0.8)
-        k_inv = rng.uniform(0.02, 0.08)
-        branch = -1 if sol.cx > 0 else +1
-        params = [t0]
-        for _ in range(order - 1):
-            params.append(next_hyperbola_point(sol, params[-1], k_inv, +1))
-        pts = [sol.point(t, branch=branch) for t in params]
-        if min(p.x for p in pts) <= 0.05:
-            return None
-        k = disc_i1_sl4(pts[0], pts[1])
-        if order == 2:
-            spec = SchemeSpec(RealizationId.SL4, 2, K=k, C=c)
-            return SchemeState(tuple(pts), spec)
-        tau = window_j1(RealizationId.SL4, *pts)
-    except DomainViolation:
-        return None
-    spec = SchemeSpec(RealizationId.SL4, 3, K=k, F=square)
-    side = turning_side(*pts)
-    return SchemeState(tuple(pts), spec, last_j1=tau, side=side)
-
-
-def _extrapolated(state):
-    """Continuation guess: quadratic through a three-point window (a
-    linear guess sits halfway between the step's mirror roots and would
-    make the Newton basin a coin flip), linear through a two-point one."""
-    w = state.window
-    if len(w) >= 3:
-        return Point2(
-            w[-3].x - 3 * w[-2].x + 3 * w[-1].x,
-            w[-3].y - 3 * w[-2].y + 3 * w[-1].y,
-        )
-    a, b = w[-2], w[-1]
-    return Point2(2 * b.x - a.x, 2 * b.y - a.y)
-
-
-@pytest.mark.parametrize(
-    "realization,order",
-    [
-        (RealizationId.SL3, 2),
-        (RealizationId.SL3, 3),
-        (RealizationId.SL4, 2),
-        (RealizationId.SL4, 3),
-    ],
-)
-def test_conic_path_agrees_with_newton(realization, order):
-    """Fast line/conic path vs damped Newton from the extrapolated guess:
-    same point to 1e-10 on 100 random admissible windows."""
-    rng = random.Random(100 + order + (0 if realization is RealizationId.SL3 else 7))
-    make = _random_sl3_window if realization is RealizationId.SL3 else _random_sl4_window
-    done = 0
-    while done < 100:
-        state = make(rng, order)
-        if state is None:
-            continue
-        try:
-            p_conic, _ = step_with_diagnostics(state)
-            p_newton = newton_fallback_step(state, _extrapolated(state))
-        except (NoIntersection, NewtonDivergence, DomainViolation):
-            continue
-        assert abs(p_conic.x - p_newton.x) < 1e-10 * (1 + abs(p_conic.x))
-        assert abs(p_conic.y - p_newton.y) < 1e-10 * (1 + abs(p_conic.y))
-        done += 1
-
-
-@pytest.mark.parametrize(
-    "realization,order",
-    [
-        (RealizationId.SL3, 2),
-        (RealizationId.SL3, 3),
-        (RealizationId.SL4, 2),
-        (RealizationId.SL4, 3),
-    ],
-)
-def test_reduction_solution_sets_cross_validate(realization, order):
-    """Every line/conic root satisfies the invariant pair to 1e-9 and the
-    Newton-solved root satisfies the line and conic equations to 1e-9."""
-    rng = random.Random(200 + order + (0 if realization is RealizationId.SL3 else 7))
-    make = _random_sl3_window if realization is RealizationId.SL3 else _random_sl4_window
-    disc = disc_i1_sl3 if realization is RealizationId.SL3 else disc_i1_sl4
-    done = 0
-    while done < 40:
-        state = make(rng, order)
-        if state is None:
-            continue
-        try:
-            m, _ = scheme_targets(state)
-            line, conic = reduced(state)
-            prev = state.window[-1]
-            d = (prev.x - state.window[-2].x, prev.y - state.window[-2].y)
-            roots = []
-            for direction in (d, (-d[0], -d[1])):
-                try:
-                    roots.append(solve_line_conic(line, conic, prev, direction))
-                except NoIntersection:
-                    pass
-            p_newton = newton_fallback_step(state, _extrapolated(state))
-        except (NoIntersection, NewtonDivergence, DomainViolation):
-            continue
-        assert roots, "reduction produced no roots"
-        for root in roots:
-            # each root satisfies both pair-invariant equations
-            assert abs(disc(state.window[-1], root) - state.spec.K) < 1e-9
-            assert abs(disc(state.window[-2], root) - m) < 1e-9
-        # the Newton root satisfies the reduced line and conic equations
-        lx = line.a * p_newton.x + line.b * p_newton.y - line.d
-        q = conic
-        cx = (
-            q.qxx * p_newton.x**2 + q.qxy * p_newton.x * p_newton.y
-            + q.qyy * p_newton.y**2 + q.qx * p_newton.x + q.qy * p_newton.y + q.q0
-        )
-        assert abs(lx) < 1e-9
-        assert abs(cx) < 1e-9 * (1 + abs(q.q0))
-        done += 1
+# -- reduction shapes ----------------------------------------------------------
 
 
 def _first_reducible(make, rng, order):
@@ -434,10 +293,10 @@ def _first_reducible(make, rng, order):
 def test_reduction_shapes():
     """Sl3 windows reduce to circle-type conics, Sl4 to hyperbola-type."""
     rng = random.Random(77)
-    _, (_, conic3) = _first_reducible(_random_sl3_window, rng, 3)
+    _, (_, conic3) = _first_reducible(random_sl3_window, rng, 3)
     assert abs(conic3.qxx - conic3.qyy) < 1e-12 * max(abs(conic3.qxx), 1.0)
     assert conic3.qxy == 0.0
-    _, (_, conic4) = _first_reducible(_random_sl4_window, rng, 3)
+    _, (_, conic4) = _first_reducible(random_sl4_window, rng, 3)
     assert conic4.qxx * conic4.qyy < 0.0  # opposite signs: hyperbola type
 
 
@@ -499,7 +358,7 @@ def test_mesh_precondition_guard():
 
 
 def _builtin_start(name):
-    cfg = next(c for c in builtin_experiments() if c.name == name)
+    cfg = builtin(name)
     return cfg, bootstrap(cfg.realization, cfg.order, cfg.ics, cfg.h, f=cfg.f)
 
 
@@ -829,7 +688,7 @@ def test_dilation_changes_no_bit_of_a_run(name):
 
 def _fig_run_states(name, h, monkeypatch):
     """Every state run_scheme steps from along a builtin invariant run."""
-    cfg = next(c for c in builtin_experiments() if c.name == name)
+    cfg = builtin(name)
     state = bootstrap(cfg.realization, cfg.order, cfg.ics, h, f=cfg.f)
     states = []
     step = schemes.step_with_diagnostics
@@ -889,7 +748,7 @@ def test_carried_step_evaluates_no_pair_invariant(name, monkeypatch):
     """One step plus advance_state on a carried state evaluates no pair
     invariant: the step's polish returns the one its point closes, and
     advance_state takes it from the step."""
-    cfg = next(c for c in builtin_experiments() if c.name == name)
+    cfg = builtin(name)
     state = bootstrap(cfg.realization, cfg.order, cfg.ics, cfg.h, f=cfg.f)
     calls = []
     for fn in ("disc_i1_sl3", "disc_i1_sl4"):
@@ -912,7 +771,7 @@ def test_step_reuses_pairs_and_targets(name, monkeypatch):
     """One step plus advance_state takes J1 and J2 from the pair invariants
     and the window J1 it holds: no window_j1 or window_j2 call, and one
     targets computation per state."""
-    cfg = next(c for c in builtin_experiments() if c.name == name)
+    cfg = builtin(name)
     state = bootstrap(cfg.realization, cfg.order, cfg.ics, cfg.h, f=cfg.f)
     calls = Counter()
     for fn in ("window_j1", "window_j2", "scheme_targets"):
@@ -938,7 +797,7 @@ def test_advance_state_hands_over_by_point_equality(name, monkeypatch):
     """advance_state takes the step's values for any point equal to the
     step's, not only for the same object, and evaluates them for another
     point; either way the next state is the one a hand-built window has."""
-    cfg = next(c for c in builtin_experiments() if c.name == name)
+    cfg = builtin(name)
     state = bootstrap(cfg.realization, cfg.order, cfg.ics, cfg.h, f=cfg.f)
     p, _ = step_with_diagnostics(state)
     step_p, _ = step_with_diagnostics(state)
@@ -1236,7 +1095,7 @@ def test_order2_step_reverses(case, arg):
     iteration: it is the roundoff of the line/conic reduction in absolute
     coordinates, so the bound sits above it rather than near 1e-12."""
     if case.startswith("fig"):
-        cfg = next(c for c in builtin_experiments() if c.name == case)
+        cfg = builtin(case)
         state = bootstrap(cfg.realization, 2, cfg.ics, arg)
     else:
         state = _seeded_order2_start(RealizationId(case), arg)
