@@ -13,9 +13,11 @@ from typing import Callable, Optional, Sequence
 
 from .core import (
     DomainViolation,
+    HaltInfo,
     NewtonDivergence,
     NumericError,
     RealizationId,
+    Trajectory,
 )
 from .invariants import (
     JetPoint, _i1, cont_i1_sl3, cont_i1_sl4, cont_i2_sl3, cont_i2_sl4,
@@ -403,16 +405,16 @@ def _trial2(
     return [y5_0, y5_1], math.sqrt((0.0 + e0 * e0 + e1 * e1) / 2)
 
 
-@dataclass
-class RkResult:
-    xs: list[float] = field(default_factory=list)
-    states: list[list[float]] = field(default_factory=list)
-    status: str = "ok"
-    detail: str = ""
+# Trial-step budget of one rk45_integrate call.
+_RK_MAX_STEPS = 1_000_000
 
-    @property
-    def halt_x(self) -> float:
-        return self.xs[-1]
+
+@dataclass
+class RkResult(Trajectory):
+    """An rk45_integrate run: a Trajectory whose ys column holds the
+    solution component y of each state, plus the states themselves."""
+
+    states: list[list[float]] = field(default_factory=list)
 
 
 def rk45_integrate(
@@ -422,32 +424,34 @@ def rk45_integrate(
     x_end: float,
     rtol: float = 1e-8,
     atol: float = 1e-10,
-    max_steps: int = 1_000_000,
 ) -> RkResult:
     """Adaptive embedded RK5(4) for state' = rhs(x, state) from x0 to x_end.
 
-    Halts early with status "stepUnderflow" when the step drops below
-    1e-14 * |x|, or "singularity" when the solution component passes 1e8.
+    Every run ends in a HaltInfo at its last point: "completed" at x_end,
+    "stepUnderflow" when the step drops below 1e-14 * |x|,
+    "singularityDetected" when the solution component passes 1e8, or
+    "maxSteps" when _RK_MAX_STEPS trial steps do not reach x_end.
     Derivative components are allowed to grow without tripping the guard:
     at a first-derivative blow-up the solution itself stays finite, and
     halting on the state norm would stop integration while the trajectory
     slope is still of order (1e8)^(1/3), hiding the very behavior the
     trajectory-level detectors look for.  Right-hand-side domain failures
     shrink the step like a rejected one, so blow-ups end in one of those
-    two statuses instead of raising.
+    halts instead of raising.
 
     One step-size controller serves every rhs.  An order-2 library system
     (a SolvedOrder2) takes its trial steps from _trial2, which returns the
     bits of the _trial that serves every other rhs.
     """
     x, y = x0, list(state0)
-    res = RkResult(xs=[x], states=[y])
+    res = RkResult(xs=[x], ys=[y[0]], states=[y])
     if x_end == x0:
+        res.halt = HaltInfo("completed", x=x)
         return res
     direction = 1.0 if x_end > x0 else -1.0
     trial, f = (_trial2, rhs.top) if isinstance(rhs, SolvedOrder2) else (_trial, rhs)
     h = direction * min(abs(x_end - x0) * 1e-2, 0.1)
-    for _ in range(max_steps):
+    for _ in range(_RK_MAX_STEPS):
         if (x + h - x_end) * direction > 0.0:
             h = x_end - x
         attempt = trial(f, x, y, h, rtol, atol)
@@ -459,12 +463,15 @@ def rk45_integrate(
             x += h
             y = y5
             res.xs.append(x)
+            res.ys.append(y[0])
             res.states.append(y)
             if abs(y[0]) > _BLOWUP:
-                res.status = "singularity"
-                res.detail = f"solution magnitude passed {_BLOWUP:g}"
+                res.halt = HaltInfo(
+                    "singularityDetected", x=x, detail=f"solution magnitude passed {_BLOWUP:g}"
+                )
                 return res
             if (x - x_end) * direction >= 0.0:
+                res.halt = HaltInfo("completed", x=x)
                 return res
             factor = _MAX_FACTOR if err_norm == 0.0 else min(
                 _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err_norm**-0.2)
@@ -477,9 +484,9 @@ def rk45_integrate(
             )
         h *= factor
         if abs(h) < 1e-14 * abs(x) or abs(h) < 1e-300:
-            res.status = "stepUnderflow"
-            res.detail = f"step size fell to {h:.3e} at x = {x:.6f}"
+            res.halt = HaltInfo(
+                "stepUnderflow", x=x, detail=f"step size fell to {h:.3e} at x = {x:.6f}"
+            )
             return res
-    res.status = "maxSteps"
-    res.detail = f"budget of {max_steps} steps exhausted"
+    res.halt = HaltInfo("maxSteps", x=x, detail=f"budget of {_RK_MAX_STEPS} steps exhausted")
     return res

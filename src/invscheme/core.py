@@ -153,7 +153,8 @@ class Trajectory:
     For a scheme of stencil width w, diagnostics has length
     len(xs) - (w - 1): one record per accepted step.  seconds is the
     wall time of the stepping phase, without bootstrap or writing; the
-    harness driver that ran the method sets it.
+    harness driver that ran the method sets it.  Every method's run ends
+    in halt, the HaltInfo whose reason the report writes as haltReason.
     """
 
     xs: list[float] = field(default_factory=list)

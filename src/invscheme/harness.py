@@ -65,9 +65,6 @@ from .schemes import bootstrap, run_scheme
 # bench/tracing.py patches to time the reference curve.
 from .schemes import _ReferenceCurve as _ode_curve
 
-_RK_RTOL = 1e-8
-_RK_ATOL = 1e-10
-
 F_CHOICES: dict[str, Callable[[float], float]] = {
     "square": square,
     "identity": lambda u: u,
@@ -408,9 +405,6 @@ def _drive_standard_fd(cfg: ExperimentConfig) -> tuple[Trajectory, int]:
     return traj, width
 
 
-_RK_STATUS = {"ok": "completed", "singularity": "singularityDetected"}
-
-
 def _drive_rk45(cfg: ExperimentConfig) -> tuple[Trajectory, int]:
     ics = cfg.ics
     if cfg.order == 2:
@@ -420,18 +414,9 @@ def _drive_rk45(cfg: ExperimentConfig) -> tuple[Trajectory, int]:
         problem = ode_rhs_library(cfg.realization, 3, F=cfg.f)
         state0 = [ics["y0"], ics["yp0"], ics["ypp0"]]
     t0 = time.perf_counter()
-    result = rk45_integrate(
-        problem.rhs, ics["x0"], state0, cfg.x_window[1],
-        rtol=_RK_RTOL, atol=_RK_ATOL,
-    )
-    elapsed = time.perf_counter() - t0
-    halt = HaltInfo(
-        _RK_STATUS.get(result.status, result.status),
-        x=result.halt_x,
-        detail=result.detail,
-    )
-    ys = [st[0] for st in result.states]
-    return Trajectory(result.xs, ys, halt=halt, seconds=elapsed), 1
+    result = rk45_integrate(problem.rhs, ics["x0"], state0, cfg.x_window[1])
+    result.seconds = time.perf_counter() - t0
+    return result, 1
 
 
 _DRIVERS = {

@@ -544,9 +544,9 @@ class _ReferenceCurve:
 
     def _integrate(self, x_start: float, state: Sequence[float], x: float):
         result = rk45_integrate(self._rhs, x_start, state, x, rtol=1e-12, atol=1e-13)
-        if result.status != "ok":
+        if result.halt.reason != "completed":
             raise NumericError(
-                f"reference integration failed: {result.detail}", result.halt_x
+                f"reference integration failed: {result.halt.detail}", result.halt.x
             )
         return result
 

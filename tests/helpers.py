@@ -96,8 +96,10 @@ def flow_oracle(realization: RealizationId, index: int, t: float, p: Point2) -> 
         return [dx, dy]
 
     res = rk45_integrate(rhs, 0.0, [p.x, p.y], t, rtol=1e-12, atol=1e-13)
-    if res.status != "ok":
-        raise DomainViolation(f"flow failed before time {t}: {res.status} ({res.detail})")
+    if res.halt.reason != "completed":
+        raise DomainViolation(
+            f"flow failed before time {t}: {res.halt.reason} ({res.halt.detail})"
+        )
     x_new, y_new = res.states[-1]
     if x_new <= 0.0:
         raise DomainViolation("flow left the half plane", x_new)

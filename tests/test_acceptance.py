@@ -158,9 +158,9 @@ def test_criterion_03_baseline_blowup_window(capfd):
     )
     seconds = time.perf_counter() - t0
     with _criterion(capfd, 3, "rk45 halts in [1.23, 1.33]",
-                    detail=[f"{result.status} at x={result.halt_x:.5f}"]):
-        assert result.status in ("singularity", "stepUnderflow")
-        assert 1.23 <= result.halt_x <= 1.33
+                    detail=[f"{result.halt.reason} at x={result.halt.x:.5f}"]):
+        assert result.halt.reason in ("singularityDetected", "stepUnderflow")
+        assert 1.23 <= result.halt.x <= 1.33
         assert seconds < 5.0
 
 
@@ -404,7 +404,7 @@ def test_criterion_09_baseline_verification(capfd):
 
         growth = lambda x, s: [s[0]]
         result = rk45_integrate(growth, 0.0, [1.0], 1.0, rtol=1e-10, atol=1e-12)
-        assert result.status == "ok"
+        assert result.halt.reason == "completed"
         assert abs(result.states[-1][0] - math.e) <= 1e-8
 
 

@@ -123,7 +123,7 @@ def test_rk45_tolerance_scaling():
 def test_rk45_oscillator_energy():
     sys_osc = lambda x, s: [s[1], -s[0]]
     result = rk45_integrate(sys_osc, 0.0, [1.0, 0.0], 2.0 * math.pi, rtol=1e-8, atol=1e-10)
-    assert result.status == "ok"
+    assert result.halt.reason == "completed"
     for state in result.states:
         energy = state[0] ** 2 + state[1] ** 2
         assert abs(energy - 1.0) < 1e-6
@@ -134,14 +134,15 @@ def test_rk45_halts_on_derivative_blowup():
     with a structured halt inside [1.23, 1.33]."""
     problem = ode_rhs_library(RealizationId.SL3, 3, F=square)
     result = rk45_integrate(problem.rhs, 1.0, [1.0, 1.0, 3.0], 6.0, rtol=1e-8, atol=1e-10)
-    assert result.status in ("singularity", "stepUnderflow")
-    assert 1.23 <= result.halt_x <= 1.33
+    assert result.halt.reason in ("singularityDetected", "stepUnderflow")
+    assert 1.23 <= result.halt.x <= 1.33
 
 
-def test_rk45_max_steps():
+def test_rk45_max_steps(monkeypatch):
+    monkeypatch.setattr(baselines, "_RK_MAX_STEPS", 3)
     sys_exp = lambda x, s: [s[0]]
-    result = rk45_integrate(sys_exp, 0.0, [1.0], 1.0, rtol=1e-10, atol=1e-12, max_steps=3)
-    assert result.status == "maxSteps"
+    result = rk45_integrate(sys_exp, 0.0, [1.0], 1.0, rtol=1e-10, atol=1e-12)
+    assert result.halt.reason == "maxSteps"
 
 
 def _faulty(f, fault):
@@ -269,7 +270,7 @@ def test_trial_returns_the_bits_of_the_nested_loop_trial(n, x, y, h_sign, h_exp,
     "state0, used",
     [([1.0, 0.0], "_trial"), ([8.0, 1.5], "_trial2"), ([1.0, 0.0, 0.5], "_trial")],
 )
-def test_rk45_picks_the_trial_by_state_size(monkeypatch, state0, used):
+def test_rk45_picks_the_trial_by_system_type(monkeypatch, state0, used):
     """Order-2 library systems, whose y'' never reads y, take every trial
     step from the y-free _trial2; any other rhs takes _trial, a
     y-dependent two-component one included."""
@@ -285,7 +286,7 @@ def test_rk45_picks_the_trial_by_state_size(monkeypatch, state0, used):
     for rhs in systems:
         calls.clear()
         result = rk45_integrate(rhs, 1.0, state0, 1.5)
-        assert result.status == "ok"
+        assert result.halt.reason == "completed"
         assert set(calls) == {used}
         assert len(calls) >= len(result.xs) - 1 > 0
 

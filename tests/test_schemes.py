@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from invscheme import (
     CircleSolution,
     DomainViolation,
+    HaltInfo,
     HyperbolaSolution,
     NewtonDivergence,
     NoIntersection,
@@ -512,6 +513,83 @@ def test_run_scheme_records_numeric_halt():
         assert traj.halt.reason in reasons
         assert detail in (None, traj.halt.detail)
         assert traj.halt.x == traj.points[-1].x
+
+
+def _chained_run(state, max_steps, x_window):
+    """run_scheme's record built by chaining the public step by hand: the
+    columns, the diagnostics and the halt."""
+    xs, ys, diags = [p.x for p in state.window], [p.y for p in state.window], []
+    lo, hi = x_window
+    for _ in range(max_steps):
+        try:
+            p, diag = step_with_diagnostics(state)
+            state = advance_state(state, p)
+        except NumericError as exc:
+            return xs, ys, diags, HaltInfo(exc.kind, state.window[-1].x, exc.detail)
+        xs.append(p.x)
+        ys.append(p.y)
+        diags.append(diag)
+        if not lo <= p.x <= hi:
+            return xs, ys, diags, HaltInfo("xRangeExit", p.x, f"left [{lo}, {hi}]")
+    return xs, ys, diags, HaltInfo("maxSteps", xs[-1], f"{max_steps} steps")
+
+
+def _seeded_order3_start(realization, seed):
+    """Bootstrap state of the first admissible order-3 config drawn from
+    seed: fig2's or fig4's initial data with y', y'' and the mesh perturbed."""
+    rng = random.Random(seed)
+    ics = FIG2_ICS if realization is RealizationId.SL3 else FIG4_ICS
+    while True:
+        drawn = dict(
+            ics,
+            yp0=ics["yp0"] * (1.0 + rng.uniform(-0.1, 0.1)),
+            ypp0=ics["ypp0"] * (1.0 + rng.uniform(-0.2, 0.2)),
+        )
+        try:
+            return bootstrap(realization, 3, drawn, rng.choice([0.01, 0.005]), f=square)
+        except NumericError:
+            continue
+
+
+_CHAIN_CASES = [(name, h) for name in ("fig1", "fig2", "fig3", "fig4") for h in (0.01, 0.005)]
+_CHAIN_CASES += [(r, order) for r in ("sl3", "sl4") for order in (2, 3)]
+
+
+@pytest.mark.parametrize(
+    "case,arg", _CHAIN_CASES, ids=[f"{c}-{a}" for c, a in _CHAIN_CASES]
+)
+def test_run_scheme_is_the_public_step_chain(case, arg):
+    """run_scheme gives, bit for bit, the columns, the diagnostics and the
+    halt of step_with_diagnostics and advance_state chained by hand: a
+    NumericError halts at the window's last point with its kind and detail,
+    and a point outside x_window is kept and ends the run.  The builtin
+    runs take their config's budget and window; 20 seeded bootstraps per
+    realization and order take 2000 steps, every other one inside a window
+    of +-0.1 around x0 that it leaves."""
+    if case.startswith("fig"):
+        cfg = builtin(case)
+        starts = [(bootstrap(cfg.realization, cfg.order, cfg.ics, arg, f=cfg.f),
+                   cfg.max_steps, cfg.x_window)]
+    else:
+        realization = RealizationId(case)
+        seeded = _seeded_order2_start if arg == 2 else _seeded_order3_start
+        starts = []
+        for seed in range(20):
+            state = seeded(realization, seed)
+            x0 = state.window[0].x
+            window = (x0 - 0.1, x0 + 0.1) if seed % 2 else (-math.inf, math.inf)
+            starts.append((state, 2000, window))
+    reasons = Counter()
+    for state, max_steps, window in starts:
+        traj = run_scheme(state, max_steps, window)
+        xs, ys, diags, halt = _chained_run(state, max_steps, window)
+        assert repr(traj.halt) == repr(halt)
+        assert repr(traj.xs) == repr(xs) and repr(traj.ys) == repr(ys)
+        assert repr(traj.diagnostics) == repr(diags)
+        reasons[halt.reason] += 1
+    print(f"{case} {arg}: halts {dict(reasons)}")
+    if not case.startswith("fig"):
+        assert reasons["xRangeExit"] == 10
 
 
 def test_polish_residual_above_the_gate_halts_without_a_second_solver(monkeypatch):
