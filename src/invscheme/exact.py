@@ -37,22 +37,28 @@ class CircleSolution(_Conic):
 
     sigma = 1.0
 
-    def point(self, t: float, branch: int = -1) -> Point2:
-        """Point at angle t; circles have one branch and ignore branch."""
+    def point(self, t: float) -> Point2:
+        """Point at angle t."""
         return Point2(self.cx + self.r * math.cos(t), self.cy + self.r * math.sin(t))
 
     def param(self, p: Point2) -> float:
         return math.atan2(p.y - self.cy, p.x - self.cx)
 
 
+@dataclass(frozen=True)
 class HyperbolaSolution(_Conic):
-    """Hyperbola (x - cx)^2 - (y - cy)^2 = r^2, opening left and right."""
+    """One branch of the hyperbola (x - cx)^2 - (y - cy)^2 = r^2, which
+    opens left and right: branch is +1.0 for the right one (x > cx) and
+    -1.0 for the left one.  fit_hyperbola picks the branch its point lies on.
+    """
 
+    branch: float
     sigma = -1.0
 
-    def point(self, t: float, branch: int = -1) -> Point2:
+    def point(self, t: float) -> Point2:
         """Parametrized as x = cx + branch * r cosh t, y = cy + r sinh t."""
-        return Point2(self.cx + branch * self.r * math.cosh(t), self.cy + self.r * math.sinh(t))
+        x = self.cx + self.branch * self.r * math.cosh(t)
+        return Point2(x, self.cy + self.r * math.sinh(t))
 
     def param(self, p: Point2) -> float:
         return math.asinh((p.y - self.cy) / self.r)
@@ -61,20 +67,20 @@ class HyperbolaSolution(_Conic):
 def fit_circle(p0: Point2, c: float, a: float) -> list[CircleSolution]:
     """Circles through p0 solving the sl3 equation I1 = c at curvature scale a.
 
-    The radius is 1/|a| and the center x is +-c/|a|; for each center-x sign
-    branch there are up to two center-y roots.  Every candidate that really
-    passes through p0 is returned, ordered by descending center x and then
-    descending center y, so callers that need one circle take the first.
-    The center-x sign of each entry identifies its branch.  Raises
-    DomainViolation when no branch passes through p0, when a = 0, or on
-    overflow.
+    The radius is 1/|a| and the center x is +-c/|a|; for each sign of the
+    center x there are up to two center-y roots.  Every candidate that
+    really passes through p0 is returned, ordered by descending center x
+    and then descending center y, so callers that need one circle take the
+    first.  Raises DomainViolation when no center passes through p0, when
+    a = 0, or on overflow.
     """
     return _fit(CircleSolution, "circle", "curvature scale a", p0, c, a)
 
 
 def fit_hyperbola(p0: Point2, c: float, a: float) -> list[HyperbolaSolution]:
     """Hyperbolas through p0 solving the sl4 equation I1 = c at scale a,
-    found and ordered as by fit_circle: semi-axis 1/|a|, center x -+c/|a|."""
+    found and ordered as by fit_circle: semi-axis 1/|a|, center x -+c/|a|.
+    Each is the branch that p0 lies on."""
     return _fit(HyperbolaSolution, "hyperbola", "scale a", p0, c, a)
 
 
@@ -96,7 +102,7 @@ def _fit(cls: type, noun: str, scale: str, p0: Point2, c: float, a: float) -> li
             continue
         root = math.sqrt(max(rad, 0.0))
         for cy in (p0.y + root, p0.y - root):
-            cand = cls(cx, cy, r)
+            cand = cls(cx, cy, r) if cls.sigma > 0.0 else cls(cx, cy, r, 1.0 if p0.x > cx else -1.0)
             if cand not in found:
                 found.append(cand)
     if not found:
@@ -132,25 +138,12 @@ def slope_at(sol: _Conic, p: Point2) -> float:
     return -sol.sigma * dx / dy
 
 
-def param_of(sol: _Conic, p: Point2) -> float:
-    """Parameter of a point on the conic (angle or hyperbolic parameter)."""
-    return sol.param(p)
-
-
-def point_at(sol: _Conic, t: float, branch: int = -1) -> Point2:
-    """Point of the conic at a parameter value; branch picks a hyperbola's
-    left (-1) or right (+1) branch, and circles ignore it."""
-    return sol.point(t, branch)
-
-
-def next_chord_point(
-    sol: _Conic, t: float, chord: float, direction: float, branch: int = -1
-) -> float:
+def next_chord_point(sol: _Conic, t: float, chord: float, direction: float) -> float:
     """Parameter one Euclidean chord step away along the conic.
 
-    direction is +-1 for increasing or decreasing parameter, and branch
-    the hyperbola branch walked, as in point_at.  Circles have the closed
-    form dtheta = 2 asin(chord / 2r); hyperbolas bisect on the parameter,
+    direction is +-1 for increasing or decreasing parameter; a hyperbola
+    is walked on its own branch.  Circles have the closed form
+    dtheta = 2 asin(chord / 2r); hyperbolas bisect on the parameter,
     where chord length grows monotonically.
     """
     if not (0.0 < chord and math.isfinite(chord)):
@@ -160,10 +153,10 @@ def next_chord_point(
         if half > 1.0:
             raise DomainViolation("chord longer than the diameter", chord)
         return t + direction * 2.0 * math.asin(half)
-    pa = sol.point(t, branch)
+    pa = sol.point(t)
 
     def gap(dt: float) -> float:
-        pb = sol.point(t + direction * dt, branch)
+        pb = sol.point(t + direction * dt)
         return math.hypot(pb.x - pa.x, pb.y - pa.y) - chord
 
     hi = 1e-8

@@ -346,9 +346,10 @@ def _initial_slope(cfg: ExperimentConfig) -> float:
         return slope_at(sol, Point2(xn, _conic_branch_y(sol, xn, y0)))
 
 
-# Each driver returns the trajectory and how many of its points are seeds,
-# and sets the trajectory's seconds to the wall time of its stepping phase:
-# two clock reads around the loop, none inside it.
+# Each driver returns the trajectory, which holds its seed points and ends in
+# a halt, and how many of its points are seeds; it sets the trajectory's
+# seconds to the wall time of its stepping phase: two clock reads around the
+# loop, none inside it.
 
 
 def _drive_invariant(cfg: ExperimentConfig) -> tuple[Trajectory, int]:
@@ -555,22 +556,20 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> RunR
             entry.error = f"{type(exc).__name__}: {exc}"
             continue
         entry.points = len(traj.xs)
-        entry.new_points = max(0, len(traj.xs) - seed)
-        if traj.halt is not None:
-            entry.halt_reason = traj.halt.reason
-            entry.halt_x = traj.halt.x
-            entry.halt_detail = traj.halt.detail
-        if traj.xs:
-            entry.x_max = max(traj.xs)
-            entry.x_end = traj.xs[-1]
-        if conic is not None and traj.xs:
+        entry.new_points = len(traj.xs) - seed
+        entry.halt_reason = traj.halt.reason
+        entry.halt_x = traj.halt.x
+        entry.halt_detail = traj.halt.detail
+        entry.x_max = max(traj.xs)
+        entry.x_end = traj.xs[-1]
+        if conic is not None:
             entry.max_conic_distance = max(
                 conic_distance(conic, x, y) for x, y in zip(traj.xs, traj.ys)
             )
         if method == "invariant" and traj.diagnostics:
             entry.mesh_drift = max(d.mesh_residual for d in traj.diagnostics)
             entry.scheme_drift = max(d.scheme_residual for d in traj.diagnostics)
-        if traj.seconds is not None and entry.new_points > 0:
+        if entry.new_points > 0:
             entry.wall_seconds_per_step = traj.seconds / entry.new_points
         entry.singularity = detect_singularity(traj)
         filename = f"{cfg.name}_{method}.csv"

@@ -47,13 +47,7 @@ from .core import (
     near_equal,
     validate_point,
 )
-from .exact import (
-    fit_circle,
-    fit_hyperbola,
-    next_chord_point,
-    param_of,
-    point_at,
-)
+from .exact import fit_circle, fit_hyperbola, next_chord_point
 # Nothing here calls window_j2; bench/tracing.py counts its calls on this module.
 from .invariants import (
     _j2, _window_j1, disc_i1_sl3, disc_i1_sl4, window_j1, window_j2,
@@ -502,18 +496,18 @@ def advance_state(state: SchemeState, p_next: Point2) -> SchemeState:
 # -- bootstrap ----------------------------------------------------------------
 
 
-def _pick_direction(sol, t0: float, h: float, branch: int) -> tuple[float, float]:
+def _pick_direction(sol, t0: float, h: float) -> tuple[float, float]:
     """Walk direction on a conic, increasing y first and increasing x on
     ties, with the parameter of the chord point one h along it.  On a
     hyperbola y = cy + r sinh t rises with t, so the walk is +1 there; a
     circle is probed both ways."""
     if sol.sigma < 0.0:
-        return 1.0, next_chord_point(sol, t0, h, 1.0, branch)
-    p0 = point_at(sol, t0, branch)
+        return 1.0, next_chord_point(sol, t0, h, 1.0)
+    p0 = sol.point(t0)
     probes = {}
     for d in (1.0, -1.0):
-        t1 = next_chord_point(sol, t0, h, d, branch)
-        p1 = point_at(sol, t1, branch)
+        t1 = next_chord_point(sol, t0, h, d)
+        p1 = sol.point(t1)
         probes[d] = (p1.y - p0.y, p1.x - p0.x), t1
     direction = max(probes, key=lambda d: probes[d][0])
     return direction, probes[direction][1]
@@ -614,11 +608,11 @@ def bootstrap(
     """Starting state from initial data, spaced by steps of length ~h.
 
     Order 2 needs x0, y0, C, a: the exact conic through (x0, y0) with
-    invariant C and scale a supplies the second point one chord h along
-    it, on the hyperbola branch that (x0, y0) lies on, walking toward
-    increasing y first (increasing x on ties).  The turning side is read
-    off the conic: the walk direction on a circle, and minus the branch
-    times the direction on a hyperbola.  Order 3
+    invariant C and scale a (for sl4, the hyperbola branch that holds
+    (x0, y0)) supplies the second point one chord h along it, walking
+    toward increasing y first (increasing x on ties).  The turning side is
+    read off the conic: the walk direction on a circle, and minus the
+    hyperbola's branch times the direction on a hyperbola.  Order 3
     needs x0, y0, yp0, ypp0: the reference solution comes from the
     high-accuracy adaptive integrator at tolerance 1e-12, run forward once
     and grown on demand.  Two bisections on its quintic Hermite interpolant
@@ -643,15 +637,12 @@ def bootstrap(
         c, a = float(ics["C"]), float(ics["a"])
         fit = fit_circle if realization is RealizationId.SL3 else fit_hyperbola
         sol = fit(p0, c, a)[0]
-        # the hyperbola branch p0 lies on; circles ignore it
-        branch = 1 if x0 > sol.cx else -1
-        t0 = param_of(sol, p0)
-        direction, t1 = _pick_direction(sol, t0, h, branch)
-        p1 = point_at(sol, t1, branch)
+        direction, t1 = _pick_direction(sol, sol.param(p0), h)
+        p1 = sol.point(t1)
         k = disc(p0, p1)
         if not (math.isfinite(k) and k > 0.0):
             raise DomainViolation(f"mesh constant K = {k!r} is not finite and positive", p1)
-        side = direction if sol.sigma > 0.0 else -branch * direction
+        side = direction if sol.sigma > 0.0 else -sol.branch * direction
         spec = SchemeSpec(realization, 2, K=k, C=c)
         return SchemeState((p0, p1), spec, None, side, (k,))
 

@@ -361,14 +361,12 @@ def next_circle_point(sol: CircleSolution, theta: float, k: float, direction: fl
     return theta + direction * _bisect_param(gap, 0.0, hi, -k)
 
 
-def next_hyperbola_point(
-    sol: HyperbolaSolution, t: float, k: float, direction: float, branch: int = -1
-) -> float:
+def next_hyperbola_point(sol: HyperbolaSolution, t: float, k: float, direction: float) -> float:
     """Parameter one pair-invariant step k away along the hyperbola branch."""
-    pa = sol.point(t, branch)
+    pa = sol.point(t)
 
     def gap(dt: float) -> float:
-        pb = sol.point(t + direction * dt, branch)
+        pb = sol.point(t + direction * dt)
         if pb.x <= 0.0:
             return math.inf
         try:
@@ -416,19 +414,25 @@ def random_sl3_window(rng, order):
 
 
 def random_sl4_window(rng, order):
-    """Equal-spacing window on a random hyperbola branch with its scheme
-    state, or None when the draw leaves the domain."""
+    """Equal-spacing window on the left branch of a random hyperbola with
+    its scheme state, or None when the draw leaves the domain.
+
+    The hyperbola is fitted through a random point, but the window lies on
+    its left branch wherever that point lies: on order-3 windows on the
+    right branch of a hyperbola centred at x > 0, the step's turn pick and
+    a Newton solve from the extrapolation can land on different roots.
+    """
     try:
         c = rng.uniform(2.0, 6.0)
         a = rng.uniform(0.5, 1.5)
-        sol = fit_hyperbola(Point2(rng.uniform(1.0, 3.0), rng.uniform(0.0, 5.0)), c, a)[0]
+        fit = fit_hyperbola(Point2(rng.uniform(1.0, 3.0), rng.uniform(0.0, 5.0)), c, a)[0]
+        sol = HyperbolaSolution(fit.cx, fit.cy, fit.r, -1.0)
         t0 = rng.uniform(-0.8, 0.8)
         k_inv = rng.uniform(0.02, 0.08)
-        branch = -1 if sol.cx > 0 else +1
         params = [t0]
         for _ in range(order - 1):
             params.append(next_hyperbola_point(sol, params[-1], k_inv, +1))
-        pts = [sol.point(t, branch=branch) for t in params]
+        pts = [sol.point(t) for t in params]
         if min(p.x for p in pts) <= 0.05:
             return None
         k = disc_i1_sl4(pts[0], pts[1])

@@ -106,6 +106,28 @@ def test_standard_fd_step_divergence():
         standard_fd_step(residual, [1.0, 1.0], 1.01, 0.01, guess=1.0)
 
 
+def _off_domain(x, yp, ypp):
+    raise DomainViolation("off the residual's domain", x)
+
+
+@pytest.mark.parametrize(
+    "residual, says",
+    [
+        (_off_domain, "residual left its domain: off the residual's domain"),
+        (lambda x, yp, ypp: math.nan, "residual is not finite"),
+        # defined on the collinear extension (yp = 0) only, so the
+        # derivative probes either side of the guess leave its domain
+        (lambda x, yp, ypp: 1.0 if yp == 0.0 else _off_domain(x, yp, ypp),
+         "derivative left its domain: off the residual's domain"),
+    ],
+    ids=["residual", "not-finite", "derivative"],
+)
+def test_standard_fd_step_names_why_newton_stopped(residual, says):
+    with pytest.raises(NewtonDivergence) as info:
+        standard_fd_step(residual, [0.0, 0.0], 1.0, 1.0, guess=0.0)
+    assert info.value.detail == says
+
+
 # -- RK5(4) --------------------------------------------------------------------
 
 
@@ -354,6 +376,28 @@ def test_order3_solved_form_consistency_sl4():
         ypp = rng.uniform(-2.0, 2.0)
         yppp = problem.rhs(x, [0.0, yp, ypp])[2]
         assert abs(problem.residual(x, yp, ypp, yppp)) < 1e-9 * (1 + abs(yppp))
+
+
+@pytest.mark.parametrize("realization", list(RealizationId), ids=lambda r: r.value)
+def test_order3_residual_for_any_other_f_is_i2_minus_f_of_i1(realization):
+    """For F other than square the residual is I2 - F(I1) on the jet, to
+    the bit, and it vanishes at the solved third derivative."""
+    identity = lambda u: u
+    problem = ode_rhs_library(realization, 3, F=identity)
+    cont_i1, cont_i2 = (
+        (cont_i1_sl3, cont_i2_sl3) if realization is RealizationId.SL3
+        else (cont_i1_sl4, cont_i2_sl4)
+    )
+    rng = random.Random(23)
+    for _ in range(100):
+        x = rng.uniform(0.3, 3.0)
+        yp = rng.choice((-1.0, 1.0)) * rng.uniform(1.05, 3.0)
+        ypp = rng.uniform(-2.0, 2.0)
+        yppp = rng.uniform(-5.0, 5.0)
+        jet = JetPoint(x, yp, ypp, yppp)
+        assert problem.residual(x, yp, ypp, yppp) == cont_i2(jet) - identity(cont_i1(jet))
+        solved = problem.rhs(x, [0.0, yp, ypp])[2]
+        assert abs(problem.residual(x, yp, ypp, solved)) < 1e-9 * (1 + abs(solved))
 
 
 def test_expanded_equation_iff_invariant_relation_sl3():

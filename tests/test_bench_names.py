@@ -23,9 +23,10 @@ _REPLAYED = [
 ]
 
 # harness stopped importing advance_state when the state began to carry its
-# own pair invariants; no metric reads that boundary, and a benchmark change
-# is to drop it from BOUNDARIES.
-_EXPECTED_MISSING = {"harness.advance_state"}
+# own pair invariants, and schemes stopped importing param_of and point_at
+# when the fitted conic began to walk its own branch; no metric reads these
+# boundaries, and a benchmark change is to drop them from BOUNDARIES.
+_EXPECTED_MISSING = {"harness.advance_state", "schemes.param_of", "schemes.point_at"}
 
 
 def _load_tracing():

@@ -1,13 +1,16 @@
-"""The byte gate: the fig1-fig4 CSVs stay byte-identical.
+"""The byte gate: the fig1-fig4 CSVs and reports stay byte-identical.
 
 Every CSV of the gate runs (fig1-fig4 at h = 0.01 and 0.005, fig1 and
 fig3 at h = 0.0025, each with all three methods) is written as
 `invscheme run figN --h H --methods invariant,standardFD,rk45` writes it,
-and its SHA-256 is compared with the digest recorded below.  A change that
-moves digits on purpose updates the table and names the digits that moved.
+and its SHA-256 is compared with the digest recorded below.  Each run's
+report is compared the same way, after every method's wall seconds per
+step, the one timing it holds, is dropped.  A change that moves digits on
+purpose updates the tables and names the digits that moved.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -52,6 +55,28 @@ _DIGESTS = {
     ("fig3", 0.0025, "rk45"): "1fcf78bebef671517dc3ee1d1d3301eb8d99d8a98c817043bd8f28facb87a81e",
 }
 
+# SHA-256 of each gate run's report without wallSecondsPerStep, re-dumped
+# with indent=2 and sorted keys, keyed by (experiment, h).
+_REPORT_DIGESTS = {
+    ("fig1", 0.01): "88b971853bd1943e6ae59355a256917b9fdbf795da4b635f752b82aa2276b320",
+    ("fig2", 0.01): "76b61e894d04c208b24742618d61521b4fefa6af788ce6d2ccb54196ca73336e",
+    ("fig3", 0.01): "ac11c4004d5411c54a516c4ccd6a60df68740713933eca63990e2bef233ce841",
+    ("fig4", 0.01): "feb977c7d3f4d3aaf795f8d38314e16981cc447b925aa117c60b408c29c35885",
+    ("fig1", 0.005): "534157319d69d9074f5cf00b7b840a76238a7b6dfa6ee3819770b8b052781d7f",
+    ("fig2", 0.005): "f9f247addc67ac4ebd95402b3f36f3d33267bafbedcb3a1bcc0a84bbfe587b97",
+    ("fig3", 0.005): "ff65ba912dc46d616daed43d05c1f80e36d2677081a0779689ae1e8144fe6a5b",
+    ("fig4", 0.005): "5f5ae7bbc9a18ebedcc830ee98e3c579b0c1e7f7f3704a2254ccafecefdadc17",
+    ("fig1", 0.0025): "21d73a001959a6c326edefc308373a95765468e082167ae18074e4dd07342ccf",
+    ("fig3", 0.0025): "ebdb2d74aafacd07b7088c2ef3e6081d509083e7ede3ab03dcafa22669c136f9",
+}
+
+
+def _report_digest(path):
+    raw = json.loads(path.read_text())
+    for entry in raw["methods"].values():
+        del entry["wallSecondsPerStep"]
+    return hashlib.sha256(json.dumps(raw, indent=2, sort_keys=True).encode()).hexdigest()
+
 
 @pytest.mark.parametrize("name,h", _GATE, ids=[f"{n}-h{h}" for n, h in _GATE])
 def test_gate_csvs_are_byte_identical(name, h, tmp_path):
@@ -63,3 +88,4 @@ def test_gate_csvs_are_byte_identical(name, h, tmp_path):
         for method in _METHODS
     }
     assert digests == {method: _DIGESTS[name, h, method] for method in _METHODS}
+    assert _report_digest(tmp_path / f"{name}_report.json") == _REPORT_DIGESTS[name, h]

@@ -16,13 +16,7 @@ from invscheme import (
     fit_circle,
     fit_hyperbola,
 )
-from invscheme.exact import (
-    conic_distance,
-    next_chord_point,
-    param_of,
-    point_at,
-    slope_at,
-)
+from invscheme.exact import conic_distance, next_chord_point, slope_at
 
 SQRT2 = math.sqrt(2.0)
 
@@ -91,8 +85,16 @@ def test_fit_rejects_overflow(fit, c, a):
 
 
 def test_fit_hyperbola_passes_through_point():
-    for s in fit_hyperbola(Point2(2.0, 5.0), 5.0, 1.0):
+    """Each candidate is the branch the point lies on: its point at the
+    point's parameter is the point (centres at x = 5 and x = -5 put it on
+    the left and on the right branch)."""
+    p0 = Point2(2.0, 5.0)
+    sols = fit_hyperbola(p0, 5.0, 1.0)
+    for s in sols:
         assert abs((2.0 - s.cx) ** 2 - (5.0 - s.cy) ** 2 - s.r**2) < 1e-12
+        back = s.point(s.param(p0))
+        assert abs(back.x - p0.x) < 1e-12 and abs(back.y - p0.y) < 1e-12
+    assert {s.branch for s in sols} == {1.0, -1.0}
 
 
 def test_conic_distance_circle():
@@ -103,7 +105,7 @@ def test_conic_distance_circle():
 
 
 def test_conic_distance_hyperbola():
-    sol = HyperbolaSolution(5.0, 5.0 + 2.0 * SQRT2, 1.0)
+    sol = HyperbolaSolution(5.0, 5.0 + 2.0 * SQRT2, 1.0, -1.0)
     on = sol.point(0.7)
     assert conic_distance(sol, on.x, on.y) < 1e-12
     assert conic_distance(sol, on.x + 0.05, on.y) > 1e-3
@@ -143,12 +145,13 @@ def test_cont_i1_constant_along_hyperbola():
 def test_param_round_trip():
     circ = CircleSolution(2.0, 8.0, 1.0)
     p = circ.point(1.234)
-    assert abs(param_of(circ, p) - 1.234) < 1e-12
-    hyp = HyperbolaSolution(5.0, 7.0, 1.0)
-    q = hyp.point(-0.8)
-    t = param_of(hyp, q)
-    back = point_at(hyp, t)
-    assert abs(back.x - q.x) < 1e-9 and abs(back.y - q.y) < 1e-9
+    assert abs(circ.param(p) - 1.234) < 1e-12
+    for branch in (1.0, -1.0):
+        hyp = HyperbolaSolution(5.0, 7.0, 1.0, branch)
+        q = hyp.point(-0.8)
+        assert branch * (q.x - hyp.cx) >= hyp.r
+        back = hyp.point(hyp.param(q))
+        assert abs(back.x - q.x) < 1e-9 and abs(back.y - q.y) < 1e-9
 
 
 def test_next_chord_point_circle():
@@ -163,7 +166,7 @@ def test_next_chord_point_circle():
 
 
 def test_next_chord_point_hyperbola():
-    sol = HyperbolaSolution(5.0, 7.0, 1.0)
+    sol = HyperbolaSolution(5.0, 7.0, 1.0, -1.0)
     t1 = next_chord_point(sol, 0.2, 0.05, -1)
     p0, p1 = sol.point(0.2), sol.point(t1)
     assert abs(math.hypot(p1.x - p0.x, p1.y - p0.y) - 0.05) < 1e-9

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from invscheme import harness
 from invscheme.core import Point2, RealizationId, StepDiagnostics, Trajectory
-from invscheme.exact import fit_hyperbola, param_of, point_at
+from invscheme.exact import fit_hyperbola
 from invscheme.harness import (
     _CONFIG_KEYS,
     _DRIVERS,
@@ -266,6 +266,38 @@ def test_failing_methods_become_report_entries(tmp_path):
     payload = json.loads((tmp_path / "doomed_report.json").read_text())
     assert set(payload["methods"]) == {"invariant", "standardFD"}
     assert all(m["error"] for m in payload["methods"].values())
+
+
+def test_standard_fd_halts_where_its_residual_leaves_the_domain(tmp_path):
+    """An sl4 start with y' = 5 steps the difference slope below 1 at once:
+    standardFD halts on its seed points with the invariant's domain error."""
+    raw = {
+        "name": "steep", "realization": "sl4", "order": "Second",
+        "x0": 2.0, "y0": 5.0, "C": 5.0, "yp0": 5.0, "h": 0.01,
+        "methods": ["standardFD"],
+    }
+    entry = run_experiment(config_from_raw(raw), out_dir=str(tmp_path)).entries["standardFD"]
+    assert (entry.error, entry.halt_reason, entry.new_points) == (None, "newtonDivergence", 0)
+    assert entry.halt_detail == (
+        "residual left its domain: sl4 first invariant needs |y'| > 1"
+    )
+
+
+def test_start_at_the_rightmost_point_of_a_circle(tmp_path, capsys):
+    """fig1's circle entered at its rightmost point (3, 8): x0 + h lies
+    beyond the circle, so both baselines record the fit's domain error
+    and the invariant method, which walks the circle, still runs."""
+    cfg_path = tmp_path / "edge.json"
+    cfg_path.write_text(json.dumps({
+        **_FIG1_RAW, "name": "edge", "x0": 3.0, "maxSteps": 50,
+        "methods": ["invariant", "standardFD", "rk45"],
+    }))
+    assert cli_main(["run", str(cfg_path), "--out", str(tmp_path)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert "invariant: 52 points, halt maxSteps" in out
+    for method in ("standardFD", "rk45"):
+        assert f"{method}: error DomainViolation: abscissa outside the conic's x range" in out
 
 
 @pytest.mark.parametrize("name", ["fig1", "fig2"])
@@ -518,12 +550,17 @@ _FIG1_RAW = {
         {"methods": []},
         {"methods": ["rk45", "rk45"]},
         {"x0": 2.5, "xWindow": [0.0, 1.5], "methods": ["invariant", "standardFD", "rk45"]},
+        {"realization": None},
+        {"y0": None},
+        {"maxSteps": -1},
+        {"methods": "invariant"},
     ],
     ids=[
         "h-text", "C-negative", "h-tiny", "y0-infinite", "x0-nan", "invariant-without-a",
         "order2-without-C", "xWindow-infinite", "xWindow-huge-int",
         "h-bool", "x0-bool", "xWindow-bool", "methods-empty", "methods-repeated",
-        "x0-outside-xWindow",
+        "x0-outside-xWindow", "no-realization", "no-y0", "maxSteps-negative",
+        "methods-string",
     ],
 )
 def test_cli_run_reports_bad_values_as_config_errors(tmp_path, capsys, change):
@@ -552,6 +589,11 @@ def test_cli_validate_missing_file_and_bad_json(tmp_path, capsys):
     broken.write_text("{not json")
     assert cli_main(["validate", str(broken)]) == 1
     assert "invalid JSON" in capsys.readouterr().err
+    listed = tmp_path / "list.json"
+    listed.write_text("[1, 2]")
+    for command in ("validate", "run"):
+        assert cli_main([command, str(listed)]) == 1
+        assert capsys.readouterr().err == "config error: config must be a JSON object\n"
     # A directory, a file that is not UTF-8, and a name too long for the
     # file system are config errors for both commands, not tracebacks.
     latin1 = tmp_path / "latin1.json"
@@ -575,8 +617,8 @@ def _ladder_points(realization):
     if realization == "sl3":
         return [Point2(2.0 + math.cos(t), 8.0 + math.sin(t)) for t in (2.0, 2.1, 2.2, 2.3)]
     sol = fit_hyperbola(Point2(2.0, 5.0), 5.0, 1.0)[0]
-    t0 = param_of(sol, Point2(2.0, 5.0))
-    return [point_at(sol, t0 + 0.05 * i, -1) for i in range(4)]
+    t0 = sol.param(Point2(2.0, 5.0))
+    return [sol.point(t0 + 0.05 * i) for i in range(4)]
 
 
 @pytest.mark.parametrize("realization", ["sl3", "sl4"])

@@ -52,7 +52,7 @@ from invscheme.schemes import (
 from invscheme import schemes
 from invscheme.invariants import _window_j1
 from invscheme.baselines import rk45_integrate
-from invscheme.exact import conic_distance, next_chord_point, param_of, point_at
+from invscheme.exact import conic_distance, next_chord_point
 
 from helpers import (
     ConicCoeffs,
@@ -100,7 +100,7 @@ def _circumhyperbola(p0, p1, p2):
     cx, cy, s = np.linalg.solve(np.array(rows), np.array(rhs))
     r2 = cx * cx - cy * cy - s
     assert r2 > 0
-    return HyperbolaSolution(cx, cy, math.sqrt(r2))
+    return HyperbolaSolution(cx, cy, math.sqrt(r2), 1.0 if p0.x > cx else -1.0)
 
 
 # -- exactness on conics (order 2) ----------------------------------------------
@@ -183,13 +183,14 @@ def _sl3_order3_circle_state(k):
     return SchemeState(pts, spec, last_j1=tau, side=turning_side(*pts))
 
 
-def _sl4_order3_state(k, f, c=5.0, t0=-0.9, branch=-1):
-    """Order-3 window on an exact hyperbola, any right-hand side."""
+def _sl4_order3_state(k, f, c=5.0, t0=-0.9):
+    """Order-3 window on an exact hyperbola, any right-hand side, on the
+    branch through (2, 5): the left one for c = 5, the right one for c = 1."""
     sol = fit_hyperbola(Point2(2.0, 5.0), c, 1.0)[0]
     params = [t0]
     for _ in range(2):
-        params.append(next_hyperbola_point(sol, params[-1], k, +1, branch=branch))
-    pts = tuple(sol.point(t, branch=branch) for t in params)
+        params.append(next_hyperbola_point(sol, params[-1], k, +1))
+    pts = tuple(sol.point(t) for t in params)
     spec = SchemeSpec(RealizationId.SL4, 3, K=disc_i1_sl4(pts[0], pts[1]), F=f)
     tau = window_j1(RealizationId.SL4, *pts)
     return SchemeState(pts, spec, last_j1=tau, side=turning_side(*pts))
@@ -265,7 +266,7 @@ def test_order3_sl4_square_rhs_collapses_j1():
     """With F = square the recurrence drains J1 by roughly K(5 J1^2 + 3)
     per step, so the run ends in a clean no-intersection halt; every step
     taken on the way satisfies both pair equations to near round-off."""
-    state = _sl4_order3_state(k=0.01, f=square, c=1.0, t0=-0.5, branch=+1)
+    state = _sl4_order3_state(k=0.01, f=square, c=1.0, t0=-0.5)
     n = 0
     with pytest.raises(NoIntersection):
         for _ in range(200):
@@ -951,12 +952,11 @@ def test_bootstrap_order2_side_matches_three_chord_points():
             continue
         fit = fit_circle if realization is RealizationId.SL3 else fit_hyperbola
         sol = fit(state.window[0], ics["C"], ics["a"])[0]
-        branch = 1 if ics["x0"] > sol.cx else -1
-        direction, t1 = schemes._pick_direction(sol, param_of(sol, state.window[0]), h, branch)
-        p2 = point_at(sol, next_chord_point(sol, t1, h, direction, branch), branch)
+        direction, t1 = schemes._pick_direction(sol, sol.param(state.window[0]), h)
+        p2 = sol.point(next_chord_point(sol, t1, h, direction))
         assert state.side == turning_side(*state.window, p2) != 0.0
-        seen.add((sol.sigma, branch if sol.sigma < 0.0 else 0, direction))
-    assert seen == {(1.0, 0, 1.0), (1.0, 0, -1.0), (-1.0, 1, 1.0), (-1.0, -1, 1.0)}
+        seen.add((sol.sigma, getattr(sol, "branch", 0.0), direction))
+    assert seen == {(1.0, 0.0, 1.0), (1.0, 0.0, -1.0), (-1.0, 1.0, 1.0), (-1.0, -1.0, 1.0)}
 
 
 @pytest.mark.parametrize(
@@ -984,9 +984,8 @@ def test_bootstrap_order2_chord_solves(monkeypatch, realization, ics, solves):
     if realization is RealizationId.SL4:
         p0 = Point2(ics["x0"], ics["y0"])
         sol = fit_hyperbola(p0, ics["C"], ics["a"])[0]
-        branch = 1 if p0.x > sol.cx else -1
-        t1 = next_chord_point(sol, param_of(sol, p0), 0.01, 1.0, branch)
-        assert state.window[1] == point_at(sol, t1, branch)
+        t1 = next_chord_point(sol, sol.param(p0), 0.01, 1.0)
+        assert state.window[1] == sol.point(t1)
 
 
 def test_bootstrap_k_shrinks_with_h():
@@ -1073,6 +1072,22 @@ def test_bootstrap_rejects_bad_input():
         bootstrap(RealizationId.SL3, 2, {"x0": 1.0, "y0": 8.0}, h=0.01)
     with pytest.raises(ValueError):
         bootstrap(RealizationId.SL3, 2, FIG1_ICS, h=-0.01)
+    with pytest.raises(ValueError, match="^order must be 2 or 3$"):
+        bootstrap(RealizationId.SL3, 4, FIG1_ICS, h=0.01)
+    with pytest.raises(ValueError, match="^order-3 bootstrap needs yp0 and ypp0$"):
+        bootstrap(RealizationId.SL3, 3, FIG1_ICS, h=0.01)
+
+
+def test_state_rejects_a_malformed_window():
+    p0, p1, p2 = Point2(1.0, 8.0), Point2(1.01, 8.1), Point2(1.03, 8.2)
+    spec2 = SchemeSpec(RealizationId.SL3, 2, K=0.1, C=2.0)
+    spec3 = SchemeSpec(RealizationId.SL3, 3, K=0.1, F=square)
+    with pytest.raises(ValueError, match="^order-2 scheme needs a window of 2 points, got 3$"):
+        SchemeState((p0, p1, p2), spec2)
+    with pytest.raises(ValueError, match="^order-3 state needs last_j1$"):
+        SchemeState((p0, p1, p2), spec3)
+    with pytest.raises(ValueError, match="^pairs needs one invariant per consecutive window pair$"):
+        SchemeState((p0, p1), spec2, pairs=(0.1, 0.1))
 
 
 # -- equivariance -----------------------------------------------------------------
