@@ -57,8 +57,9 @@ from .invariants import (
 # rejected as unreliable rather than appended to the trajectory.
 _RESIDUAL_HALT = 5e-11
 
-# Mesh precondition guard: window pairs must agree with K at least this
-# well (bootstrap promises 1e-6, solved steps are near machine precision).
+# Mesh guard: a state that evaluates its own window pairs needs each to
+# agree with K at least this well.  The states bootstrap and a step's
+# hand-over build pass pairs checked tighter (1e-6 and the 5e-11 gate).
 _MESH_GUARD = 1e-5
 
 
@@ -74,12 +75,12 @@ class SchemeState:
 
     pairs holds the pair invariants of consecutive window points, oldest
     first, and j1_window the window's measured J1 (order 3 only).
-    bootstrap and advance_state pass them; a state built without them
-    evaluates them in window order, raising the first pair's error.
-    mesh_checked is the mesh guard's state, set by advance_state on a
-    state built from its step's hand-over (see _check_mesh).  A run builds
-    one state per step, so the record is slotted and unfrozen, with the
-    step's hand-over in a plain field; it is read-only by convention.
+    bootstrap and advance_state pass them, already checked.  A state built
+    without them evaluates them in window order, raising the first pair's
+    error, and then meets the mesh guard: a pair whose invariant misses K
+    by more than 1e-5 raises DomainViolation at its later point.  A run
+    builds one state per step, so the record is slotted and unfrozen, with
+    the step's hand-over in a plain field; it is read-only by convention.
     """
 
     window: tuple[Point2, ...]
@@ -88,7 +89,6 @@ class SchemeState:
     side: float = 0.0
     pairs: Optional[tuple[float, ...]] = field(default=None, compare=False, repr=False)
     j1_window: Optional[float] = field(default=None, compare=False, repr=False)
-    mesh_checked: bool = field(default=False, compare=False, repr=False)
     _step: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -100,8 +100,15 @@ class SchemeState:
         if self.spec.order == 3 and self.last_j1 is None:
             raise ValueError("order-3 state needs last_j1")
         if self.pairs is None:
-            disc = _pair_disc(self.spec.realization)
+            disc, k = _pair_disc(self.spec.realization), self.spec.K
             self.pairs = tuple(disc(pa, pb) for pa, pb in zip(self.window, self.window[1:]))
+            for value, pb in zip(self.pairs, self.window[1:]):
+                if not near_equal(value, k, _MESH_GUARD):
+                    raise DomainViolation(
+                        f"window pair invariant {value:.6e} does not match "
+                        f"the mesh constant {k:.6e}",
+                        pb,
+                    )
         elif len(self.pairs) != self.spec.order - 1:
             raise ValueError("pairs needs one invariant per consecutive window pair")
         if self.spec.order == 3 and self.j1_window is None:
@@ -151,19 +158,6 @@ def scheme_targets(state: SchemeState) -> tuple[float, Optional[float]]:
     return m, j1_next
 
 
-def _check_mesh(state: SchemeState) -> None:
-    """Raise DomainViolation unless every window pair matches K to 1e-5.
-    A state built from a step's hand-over skips it: its newest pair passed
-    the 5e-11 residual gate and its older ones this check a step before."""
-    for value, pb in zip(state.pairs, state.window[1:]):
-        if not near_equal(value, state.spec.K, _MESH_GUARD):
-            raise DomainViolation(
-                f"window pair invariant {value:.6e} does not match "
-                f"the mesh constant {state.spec.K:.6e}",
-                pb,
-            )
-
-
 def _line(
     realization: RealizationId, p_prev: Point2, p_last: Point2, k: float, m: float
 ) -> tuple[tuple[float, float, float], tuple[float, float, float, float]]:
@@ -211,20 +205,13 @@ def reduce_to_line_conic(state: SchemeState) -> tuple[tuple[float, ...], tuple[f
 
 
 def _turn(vx: float, vy: float, wx: float, wy: float, fallback: float) -> float:
-    """turning_side on the displacements (vx, vy) and (wx, wy)."""
+    """Turning side of the displacements (vx, vy) then (wx, wy): the sign of
+    their cross product, or fallback when they are collinear to relative
+    precision 1e-9, so an established side survives straight stretches."""
     cr = vx * wy - vy * wx
     if abs(cr) > 1e-9 * math.hypot(vx, vy) * math.hypot(wx, wy):
         return 1.0 if cr > 0.0 else -1.0
     return fallback
-
-
-def turning_side(p0: Point2, p1: Point2, p2: Point2, fallback: float = 0.0) -> float:
-    """Sign of the cross product of displacements p0->p1 and p1->p2.
-
-    Returns fallback when the three points are collinear to relative
-    precision 1e-9, so an established side survives straight stretches.
-    """
-    return _turn(p1.x - p0.x, p1.y - p0.y, p2.x - p1.x, p2.y - p1.y, fallback)
 
 
 def _fast_step(
@@ -435,9 +422,9 @@ def newton_fallback_step(state: SchemeState, guess: Point2) -> Point2:
 def step_with_diagnostics(state: SchemeState) -> tuple[Point2, StepDiagnostics]:
     """One scheme step: targets, _fast_step's one pass, and diagnostics.
 
-    Each quantity is computed once.  The mesh guard (for a state not built
-    from a hand-over) and the targets read the state's pair invariants.
-    The polish, the step's only solver, returns the pair invariants
+    Each quantity is computed once.  The targets read the state's pair
+    invariants, checked against K when the state was built.  The polish,
+    the step's only solver, returns the pair invariants
     da = I(p_last, p) and db = I(p_prev, p) of its point p; the residuals
     are |da - K| and |db - M|.  A residual above 5e-11, or not finite,
     raises NewtonDivergence naming it.  Then J1 of (p_prev, p_last, p)
@@ -448,8 +435,6 @@ def step_with_diagnostics(state: SchemeState) -> tuple[Point2, StepDiagnostics]:
     (order 3) J1, the next J1 target and the next turning side on the
     state for advance_state.
     """
-    if not state.mesh_checked:
-        _check_mesh(state)
     spec = state.spec
     m, j1_next = scheme_targets(state)
     realization, k = spec.realization, spec.K
@@ -470,27 +455,24 @@ def step_with_diagnostics(state: SchemeState) -> tuple[Point2, StepDiagnostics]:
 
 
 def advance_state(state: SchemeState, p_next: Point2) -> SchemeState:
-    """Slide the window over p_next and carry what the next step needs.
+    """Slide the window over the point of the state's last step.
 
-    The next state gets the turning side, at order 3 the J1 target of the
-    update rule, and the pair invariants of its window: the carried ones
-    plus the one for the pair that p_next closes.  When p_next is or
-    equals the point of the state's last step, that pair invariant, the
-    turning side and (order 3) the window's J1 and the J1 target are the
-    step's, and the next state skips the mesh guard; for any other point
-    they are evaluated, the target by scheme_targets, and it does not.
+    p_next is that point or one equal to it.  The next state takes the
+    step's hand-over: the pair invariant that p_next closes (it passed the
+    5e-11 residual gate), the turning side and, at order 3, the window's
+    J1 and the update rule's next J1 target.  Any other point, or a state
+    that has not stepped, raises ValueError; a window over another point
+    q is SchemeState(state.window[1:] + (q,), ...), which meets the mesh
+    guard.
     """
-    spec, window = state.spec, state.window
     step = state._step
-    handed = step is not None and (step[0] is p_next or step[0] == p_next)
-    if handed:
-        _, newest, j1_window, last_j1, side = step
-    else:
-        side = turning_side(window[-2], window[-1], p_next, fallback=state.side)
-        last_j1 = scheme_targets(state)[1] if spec.order == 3 else None
-        newest, j1_window = _pair_disc(spec.realization)(window[-1], p_next), None
-    pairs = state.pairs[1:] + (newest,)
-    return SchemeState(window[1:] + (p_next,), spec, last_j1, side, pairs, j1_window, handed)
+    if step is None or not (step[0] is p_next or step[0] == p_next):
+        raise ValueError("advance_state takes only the point of the state's last step")
+    _, newest, j1_window, last_j1, side = step
+    return SchemeState(
+        state.window[1:] + (p_next,), state.spec, last_j1, side,
+        state.pairs[1:] + (newest,), j1_window,
+    )
 
 
 # -- bootstrap ----------------------------------------------------------------
@@ -673,7 +655,7 @@ def bootstrap(
     if abs(k2 - k) > 1e-6:
         raise NumericError(f"second pair invariant {k2:.6e} missed K={k:.6e}", x2)
     tau = window_j1(realization, p0, p1, p2)
-    side = turning_side(p0, p1, p2)
+    side = _turn(p1.x - p0.x, p1.y - p0.y, p2.x - p1.x, p2.y - p1.y, 0.0)
     spec = SchemeSpec(realization, 3, K=k, F=rhs)
     return SchemeState((p0, p1, p2), spec, tau, side, (k, k2), tau)
 
@@ -693,9 +675,6 @@ def run_scheme(
     times the whole call.
     """
     traj = Trajectory([p.x for p in state.window], [p.y for p in state.window])
-    if max_steps <= 0:
-        traj.halt = HaltInfo("maxSteps", x=state.window[-1].x, detail="0 steps requested")
-        return traj
     add_x, add_y, add_diag = traj.xs.append, traj.ys.append, traj.diagnostics.append
     for _ in range(max_steps):
         try:

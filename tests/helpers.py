@@ -31,7 +31,7 @@ from invscheme.exact import _bisect_param
 from invscheme.group_action import GroupElement
 from invscheme.harness import _singularities
 from invscheme.invariants import _RADICAND_SLACK, window_j1_from_pairs
-from invscheme.schemes import reduce_to_line_conic, square, turning_side
+from invscheme.schemes import reduce_to_line_conic, square
 
 
 IDENTITY = GroupElement(1.0, 0.0, 0.0, 1.0)
@@ -276,6 +276,19 @@ def polish(realization, p_prev, p_last, k, m, x, y):
         x, y = x - sx, y - sy
         iters += 1
     return x, y, grad(lx, ly, x, y)[0], grad(px, py, x, y)[0], iters
+
+
+def turning_side(p0: Point2, p1: Point2, p2: Point2, fallback: float = 0.0) -> float:
+    """Sign of the cross product of displacements p0->p1 and p1->p2.
+
+    Returns fallback when the three points are collinear to relative
+    precision 1e-9, so an established side survives straight stretches.
+    """
+    vx, vy, wx, wy = p1.x - p0.x, p1.y - p0.y, p2.x - p1.x, p2.y - p1.y
+    cr = vx * wy - vy * wx
+    if abs(cr) > 1e-9 * math.hypot(vx, vy) * math.hypot(wx, wy):
+        return 1.0 if cr > 0.0 else -1.0
+    return fallback
 
 
 def general_conic_step(realization, p_prev, p_last, k, m, side):

@@ -456,16 +456,43 @@ def test_cli_run_overrides_land_in_the_report(tmp_path, capsys):
 
 
 def test_cli_run_honors_output_env_var(tmp_path, capsys, monkeypatch):
+    """With no --out and no output field, $INVSCHEME_OUT names the output
+    directory, and without it the run writes into the working directory."""
     monkeypatch.setenv("INVSCHEME_OUT", str(tmp_path))
     assert cli_main(["run", "fig1", "--max-steps", "5"]) == 0
     capsys.readouterr()
     assert (tmp_path / "fig1_report.json").exists()
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    monkeypatch.delenv("INVSCHEME_OUT")
+    assert cli_main(["run", "fig1", "--max-steps", "5"]) == 0
+    assert capsys.readouterr().out.startswith("report: fig1_report.json")
+    assert (cwd / "fig1_report.json").exists()
 
 
 def test_cli_run_zero_step_budget_is_not_a_failure(tmp_path, capsys):
+    """A budget of 0 steps writes the window and halts every stepping
+    method on maxSteps, with the same detail."""
     code = cli_main(["run", "fig1", "--out", str(tmp_path), "--max-steps", "0"])
     assert code == 0
     capsys.readouterr()
+    methods = json.loads((tmp_path / "fig1_report.json").read_text())["methods"]
+    for name in ("invariant", "standardFD"):
+        entry = methods[name]
+        assert (entry["haltReason"], entry["haltDetail"], entry["newPoints"]) == (
+            "maxSteps", "0 steps", 0
+        ), name
+
+
+def test_cli_run_reports_an_unwritable_output_directory(tmp_path, capsys):
+    """--out below a regular file cannot be created: exit 1, one line on
+    stderr and no traceback."""
+    (tmp_path / "file").write_text("x")
+    out = str(tmp_path / "file" / "out")
+    assert cli_main(["run", "fig1", "--max-steps", "5", "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("cannot write the outputs:") and "Traceback" not in err
 
 
 def test_cli_run_unknown_experiment(capsys):
@@ -496,11 +523,16 @@ def test_cli_run_exits_2_when_every_method_fails(tmp_path, capsys):
         "x0": 1.0, "y0": 8.0, "C": 2.0, "a": 0.0,
         "methods": ["invariant", "standardFD"],
     }
-    for i, raw in enumerate([doomed] + _K0_CONFIGS + [_TINY_SL4]):
+    # fig3's data with a chord far longer than the hyperbola can hold.
+    huge_h = {**builtin("fig3").as_raw(), "name": "hugeh", "h": 1e25, "methods": ["invariant"]}
+    for i, raw in enumerate([doomed] + _K0_CONFIGS + [_TINY_SL4, huge_h]):
         cfg_path = tmp_path / f"doomed{i}.json"
         cfg_path.write_text(json.dumps({**raw, "output": str(tmp_path)}))
         assert cli_main(["run", str(cfg_path)]) == 2, raw
-        assert capsys.readouterr().err == "", raw
+        captured = capsys.readouterr()
+        assert captured.err == "", raw
+    # The last config's console summary names its halt.
+    assert "invariant: error DomainViolation: chord step does not fit on the branch" in captured.out
 
 
 def test_cli_validate_accepts_good_config(tmp_path, capsys):
@@ -674,8 +706,8 @@ def test_cli_underflowing_denominators_exit_2(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "change",
-    [{"name": "a/b"}, {"order": ["x"]}, {"F": ["square"]}, {"output": 5}],
-    ids=["name-with-slash", "order-list", "F-list", "output-number"],
+    [{"name": "a/b"}, {"name": "\ud800"}, {"order": ["x"]}, {"F": ["square"]}, {"output": 5}],
+    ids=["name-with-slash", "name-lone-surrogate", "order-list", "F-list", "output-number"],
 )
 def test_cli_run_rejects_malformed_fields(tmp_path, capsys, monkeypatch, change):
     monkeypatch.chdir(tmp_path)

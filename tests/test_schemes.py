@@ -47,7 +47,6 @@ from invscheme.schemes import (
     scheme_targets,
     square,
     step_with_diagnostics,
-    turning_side,
 )
 from invscheme import schemes
 from invscheme.invariants import _window_j1
@@ -66,6 +65,7 @@ from helpers import (
     random_sl4_window,
     reduced,
     solve_line_conic,
+    turning_side,
 )
 
 FIG1_ICS = {"x0": 1.0, "y0": 8.0, "C": 2.0, "a": 1.0}
@@ -387,53 +387,14 @@ def _off_mesh(state, anchor, p):
 
 @pytest.mark.parametrize("name", ["fig1", "fig4"])
 def test_mesh_guard_rejects_a_hand_built_window_off_the_mesh(name):
-    """A hand-built state whose newest pair misses K is rejected by its
-    first step, and a run from it halts there with no new point."""
-    cfg, state = _builtin_start(name)
-    w = state.window
-    off = SchemeState(
-        w[:-1] + (_off_mesh(state, w[-2], w[-1]),), state.spec, state.last_j1, state.side
-    )
-    with pytest.raises(DomainViolation, match="does not match the mesh constant"):
-        step_with_diagnostics(off)
-    traj = run_scheme(off, 50, cfg.x_window)
-    assert traj.halt.reason == "domainViolation"
-    assert "does not match the mesh constant" in traj.halt.detail
-    assert traj.halt.x == off.window[-1].x
-    assert traj.points == list(off.window) and traj.diagnostics == []
-
-
-@pytest.mark.parametrize("name", ["fig1", "fig4"])
-def test_mesh_guard_checks_a_state_advanced_over_another_point(name):
-    """advance_state over a point other than its step's evaluates that
-    pair invariant, and the next step checks it against K; over the
-    step's own point the run goes on."""
+    """A hand-built state whose newest pair misses K is rejected when it is
+    built, at that pair's later point."""
     _, state = _builtin_start(name)
-    p, _ = step_with_diagnostics(state)
-    q = _off_mesh(state, state.window[-1], p)
-    with pytest.raises(DomainViolation, match="does not match the mesh constant"):
-        step_with_diagnostics(advance_state(state, q))
-    step_with_diagnostics(advance_state(state, p))
-
-
-@pytest.mark.parametrize("name", ["fig1", "fig2", "fig3", "fig4"])
-def test_mesh_guard_checks_each_pair_once(name, monkeypatch):
-    """Along a run from bootstrap only the first state meets the mesh
-    guard: every later state is built from its step's hand-over, whose
-    newest pair passed the residual gate and whose older pairs were
-    checked a step before."""
-    cfg, state = _builtin_start(name)
-    checked = []
-    check = schemes._check_mesh
-
-    def counting(s):
-        checked.append(s)
-        return check(s)
-
-    monkeypatch.setattr(schemes, "_check_mesh", counting)
-    traj = run_scheme(state, 50, cfg.x_window)
-    assert len(traj.diagnostics) == 50
-    assert len(checked) == 1 and checked[0] is state
+    w = state.window
+    q = _off_mesh(state, w[-2], w[-1])
+    with pytest.raises(DomainViolation, match="does not match the mesh constant") as info:
+        SchemeState(w[:-1] + (q,), state.spec, state.last_j1, state.side)
+    assert info.value.location == q
 
 
 @pytest.mark.parametrize("name", ["fig1", "fig2", "fig3", "fig4"])
@@ -710,7 +671,7 @@ def test_fast_step_keeps_every_bit_along_the_builtin_runs(name, monkeypatch):
 def test_step_and_advance_make_few_python_calls(name):
     """A step plus advance_state on a carried state is one pass: at most 11
     Python-level calls at order 2 and 13 at order 3 (the update rule's F
-    and J2 on top).  The bootstrap state's first step adds the mesh guard."""
+    and J2 on top)."""
     cfg, state = _builtin_start(name)
     state = advance_state(state, step_with_diagnostics(state)[0])
     calls = []
@@ -824,9 +785,10 @@ def test_carried_values_change_no_bit(name, h, monkeypatch):
 
 @pytest.mark.parametrize("name", ["fig1", "fig2", "fig3", "fig4"])
 def test_carried_step_evaluates_no_pair_invariant(name, monkeypatch):
-    """One step plus advance_state on a carried state evaluates no pair
-    invariant: the step's polish returns the one its point closes, and
-    advance_state takes it from the step."""
+    """A 50-step run from bootstrap evaluates no pair invariant: bootstrap
+    passes its pairs, each step's polish returns the one its point closes,
+    and advance_state hands it to the next state, which does not check it
+    again."""
     cfg = builtin(name)
     state = bootstrap(cfg.realization, cfg.order, cfg.ics, cfg.h, f=cfg.f)
     calls = []
@@ -838,11 +800,9 @@ def test_carried_step_evaluates_no_pair_invariant(name, monkeypatch):
             return original(pa, pb)
 
         monkeypatch.setattr(schemes, fn, counting)
-    for _ in range(3):
-        calls.clear()
-        p, _ = step_with_diagnostics(state)
-        state = advance_state(state, p)
-        assert calls == []
+    traj = run_scheme(state, 50, cfg.x_window)
+    assert len(traj.diagnostics) == 50
+    assert calls == []
 
 
 @pytest.mark.parametrize("name", ["fig1", "fig2", "fig3", "fig4"])
@@ -874,10 +834,12 @@ def test_step_reuses_pairs_and_targets(name, monkeypatch):
 @pytest.mark.parametrize("name", ["fig1", "fig4"])
 def test_advance_state_hands_over_by_point_equality(name, monkeypatch):
     """advance_state takes the step's values for any point equal to the
-    step's, not only for the same object, and evaluates them for another
-    point; either way the next state is the one a hand-built window has."""
-    cfg = builtin(name)
-    state = bootstrap(cfg.realization, cfg.order, cfg.ics, cfg.h, f=cfg.f)
+    step's, not only for the same object, with no pair evaluation, and the
+    next state is the one a hand-built window has.  Any other point, and a
+    state that has not stepped, is refused."""
+    _, state = _builtin_start(name)
+    with pytest.raises(ValueError, match="only the point of the state's last step"):
+        advance_state(state, state.window[-1])
     p, _ = step_with_diagnostics(state)
     step_p, _ = step_with_diagnostics(state)
     assert step_p == p and step_p is not p
@@ -890,15 +852,13 @@ def test_advance_state_hands_over_by_point_equality(name, monkeypatch):
             return original(pa, pb)
 
         monkeypatch.setattr(schemes, fn, counting)
-    advanced = []
-    for q, evaluations in ((p, 0), (Point2(p.x, p.y + 1e-9), 1)):
-        calls.clear()
-        advanced.append((q, advance_state(state, q)))
-        assert calls["disc"] == evaluations
+    nxt = advance_state(state, p)
+    assert calls["disc"] == 0
     monkeypatch.undo()
-    for q, nxt in advanced:
-        fresh = SchemeState(state.window[1:] + (q,), state.spec, nxt.last_j1, nxt.side)
-        assert (nxt.pairs, nxt.j1_window) == (fresh.pairs, fresh.j1_window)
+    fresh = SchemeState(state.window[1:] + (p,), state.spec, nxt.last_j1, nxt.side)
+    assert (nxt.pairs, nxt.j1_window) == (fresh.pairs, fresh.j1_window)
+    with pytest.raises(ValueError, match="only the point of the state's last step"):
+        advance_state(state, Point2(p.x, p.y + 1e-9))
 
 
 # -- bootstrap -------------------------------------------------------------------
