@@ -397,6 +397,50 @@ def test_mesh_guard_rejects_a_hand_built_window_off_the_mesh(name):
     assert info.value.location == q
 
 
+@pytest.mark.parametrize("name", ["fig1", "fig4"])
+def test_mesh_guard_checks_a_state_advanced_over_another_point(name):
+    """advance_state refuses a point other than its step's; the window over
+    that point, built by hand, meets the mesh guard at that point.  Over
+    the step's own point the run goes on."""
+    _, state = _builtin_start(name)
+    p, _ = step_with_diagnostics(state)
+    q = _off_mesh(state, state.window[-1], p)
+    with pytest.raises(ValueError, match="only the point of the state's last step"):
+        advance_state(state, q)
+    with pytest.raises(DomainViolation, match="does not match the mesh constant") as info:
+        SchemeState(state.window[1:] + (q,), state.spec, state.last_j1, state.side)
+    assert info.value.location == q
+    step_with_diagnostics(advance_state(state, p))
+
+
+@pytest.mark.parametrize("name", ["fig1", "fig2", "fig3", "fig4"])
+def test_mesh_guard_checks_each_pair_once(name, monkeypatch):
+    """A hand-built state evaluates each window pair once, when it is built,
+    and a 50-step run from it evaluates none again: every later state is
+    built from its step's hand-over.  The run is the one from the bootstrap
+    state with the same window."""
+    cfg, state = _builtin_start(name)
+    calls = []
+    for fn in ("disc_i1_sl3", "disc_i1_sl4"):
+        original = getattr(schemes, fn)
+
+        def counting(pa, pb, original=original):
+            calls.append((pa, pb))
+            return original(pa, pb)
+
+        monkeypatch.setattr(schemes, fn, counting)
+    w = state.window
+    hand = SchemeState(w, state.spec, state.last_j1, state.side)
+    assert calls == list(zip(w, w[1:]))
+    assert hand.pairs == state.pairs
+    calls.clear()
+    traj = run_scheme(hand, 50, cfg.x_window)
+    assert len(traj.diagnostics) == 50
+    assert calls == []
+    monkeypatch.undo()
+    assert traj.points == run_scheme(state, 50, cfg.x_window).points
+
+
 @pytest.mark.parametrize("name", ["fig1", "fig2", "fig3", "fig4"])
 def test_run_scheme_steps_through_the_module_seams(name, monkeypatch):
     """run_scheme looks step_with_diagnostics and advance_state up on the
