@@ -7,7 +7,9 @@ for circles and -1 for hyperbolas (x - cx)^2 - (y - cy)^2 = r^2.  They
 serve as trusted references: fitting a conic with prescribed invariant C
 and scale a through a point (radius 1/|a|, centre abscissa
 sigma (+-C/|a|)), measuring distance from a point to the conic, and
-walking along the conic by chord length.
+walking along the conic by chord length.  bracket_and_bisect is the one
+search along a curve: the hyperbola walk and both order-3 bootstrap
+searches use it.
 
 Sign convention (by implicit differentiation of the conic):
 I1 = sigma (cx / r) sign(y - cy).
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import Callable, ClassVar, Optional
 
 from .core import DomainViolation, Point2
 
@@ -159,28 +161,36 @@ def next_chord_point(sol: _Conic, t: float, chord: float, direction: float) -> f
         pb = sol.point(t + direction * dt)
         return math.hypot(pb.x - pa.x, pb.y - pa.y) - chord
 
-    hi = 1e-8
-    while gap(hi) < 0.0:
-        hi *= 2.0
-        if hi > 50.0:
-            raise DomainViolation("chord step does not fit on the branch", chord)
-    return t + direction * _bisect_param(gap, 0.0, hi, -chord)
+    dt = bracket_and_bisect(gap, 0.0, 1e-8, 50.0)
+    if dt is None:
+        raise DomainViolation("chord step does not fit on the branch", chord)
+    return t + direction * dt
 
 
-# Halving limit of _bisect_param, which stops sooner at a 1e-16 bracket.
-_BISECT_ITERS = 200
+def bracket_and_bisect(
+    gap: Callable[[float], float], start: float, step: float, limit: float
+) -> Optional[float]:
+    """Where gap, negative at start, first turns nonnegative ahead of it.
 
-
-def _bisect_param(fn, lo: float, hi: float, flo: float) -> float:
-    for _ in range(_BISECT_ITERS):
+    Doubles step until gap(start + step) >= 0, or returns None once step
+    passes limit.  Then halves [start, start + step], moving the lower end
+    while gap < 0 there, and returns the midpoint: at once when gap is
+    exactly 0 there, else when the ends are adjacent floats, the bracket is
+    no wider than 1e-16 (1 + |mid|), or after 200 halvings.
+    """
+    while gap(start + step) < 0.0:
+        step *= 2.0
+        if step > limit:
+            return None
+    lo, hi = start, start + step
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
-        fm = fn(mid)
-        if fm == 0.0:
+        if mid == lo or mid == hi:
+            break
+        g = gap(mid)
+        if g == 0.0:
             return mid
-        if (fm < 0.0) == (flo < 0.0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-        if abs(hi - lo) <= 1e-16 * (1.0 + abs(mid)):
+        lo, hi = (mid, hi) if g < 0.0 else (lo, mid)
+        if hi - lo <= 1e-16 * (1.0 + abs(mid)):
             break
     return 0.5 * (lo + hi)

@@ -372,7 +372,7 @@ def _drive_standard_fd(cfg: ExperimentConfig) -> tuple[Trajectory, int]:
     else:
         problem = ode_rhs_library(cfg.realization, 3, F=cfg.f)
         curve = _ode_curve(cfg.realization, ics, cfg.f)
-        ys = [curve(x0 + i * cfg.h).y for i in range(3)]
+        ys = [ics["y0"], curve(x0 + cfg.h).y, curve(x0 + 2 * cfg.h).y]
     width = cfg.order
     traj = Trajectory([x0 + i * cfg.h for i in range(len(ys))], ys)
     t0 = time.perf_counter()

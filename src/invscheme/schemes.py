@@ -47,7 +47,7 @@ from .core import (
     near_equal,
     validate_point,
 )
-from .exact import fit_circle, fit_hyperbola, next_chord_point
+from .exact import bracket_and_bisect, fit_circle, fit_hyperbola, next_chord_point
 # Nothing here calls window_j2; bench/tracing.py counts its calls on this module.
 from .invariants import (
     _j2, _window_j1, disc_i1_sl3, disc_i1_sl4, window_j1, window_j2,
@@ -527,8 +527,6 @@ class _ReferenceCurve:
         return result
 
     def __call__(self, x: float) -> Point2:
-        if x == self._x0:
-            return Point2(self._x0, self._state0[0])
         result = self._integrate(self._x0, self._state0, x)
         return Point2(result.xs[-1], result.states[-1][0])
 
@@ -557,29 +555,6 @@ class _ReferenceCurve:
         return Point2(x, y)
 
 
-def _bracket_and_bisect(
-    gap: Callable[[float], float], x_start: float, hi: float, hi_limit: float
-) -> float:
-    """Abscissa where gap changes sign ahead of x_start.
-
-    Doubles the offset hi until gap(x_start + hi) >= 0, then halves the
-    bracket [x_start, x_start + hi] 80 times, moving its lower end while
-    gap < 0 there.
-    """
-    while gap(x_start + hi) < 0.0:
-        hi *= 2.0
-        if hi > hi_limit:
-            raise NumericError("reference search failed to bracket", x_start)
-    lo_x, hi_x = x_start, x_start + hi
-    for _ in range(80):
-        mid = 0.5 * (lo_x + hi_x)
-        if gap(mid) < 0.0:
-            lo_x = mid
-        else:
-            hi_x = mid
-    return 0.5 * (lo_x + hi_x)
-
-
 def bootstrap(
     realization: RealizationId,
     order: int,
@@ -597,11 +572,11 @@ def bootstrap(
     hyperbola's branch times the direction on a hyperbola.  Order 3
     needs x0, y0, yp0, ypp0: the reference solution comes from the
     high-accuracy adaptive integrator at tolerance 1e-12, run forward once
-    and grown on demand.  Two bisections on its quintic Hermite interpolant
-    place the second point one chord h along it and the third where its
-    pair invariant matches the first pair's; both points are then
-    evaluated by a fresh integration from x0, and the second pair must
-    match K within 1e-6.
+    and grown on demand.  Two searches on its quintic Hermite interpolant,
+    both by exact.bracket_and_bisect, place the second point one chord h
+    along it and the third where its pair invariant matches the first
+    pair's; both points are then evaluated by a fresh integration from x0,
+    and the second pair must match K within 1e-6.
 
     The mesh constant K is the measured pair invariant of the first pair.
     """
@@ -639,7 +614,9 @@ def bootstrap(
         p = curve.interp(x)
         return math.hypot(p.x - p0.x, p.y - p0.y) - h
 
-    x1 = _bracket_and_bisect(chord_gap, x0, h, 1e3 * h)
+    x1 = bracket_and_bisect(chord_gap, x0, h, 1e3 * h)
+    if x1 is None:
+        raise NumericError("reference search failed to bracket", x0)
     p1 = curve(x1)
     k = disc(p0, p1)
 
@@ -649,7 +626,9 @@ def bootstrap(
         except DomainViolation:
             return math.inf
 
-    x2 = _bracket_and_bisect(invariant_gap, x1, 1e-4, 1e6)
+    x2 = bracket_and_bisect(invariant_gap, x1, 1e-4, 1e6)
+    if x2 is None:
+        raise NumericError("reference search failed to bracket", x1)
     p2 = curve(x2)
     k2 = disc(p1, p2)
     if abs(k2 - k) > 1e-6:

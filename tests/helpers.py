@@ -27,7 +27,7 @@ from invscheme import (
     window_j1,
 )
 from invscheme.baselines import _STAGE_ERRORS
-from invscheme.exact import _bisect_param
+from invscheme.exact import bracket_and_bisect
 from invscheme.group_action import GroupElement
 from invscheme.harness import _singularities
 from invscheme.invariants import _RADICAND_SLACK, window_j1_from_pairs
@@ -366,12 +366,10 @@ def next_circle_point(sol: CircleSolution, theta: float, k: float, direction: fl
             return math.inf
         return disc_i1_sl3(pa, pb) - k
 
-    hi = 1e-8
-    while gap(hi) < 0.0:
-        hi *= 2.0
-        if hi > math.pi:
-            raise DomainViolation("pair-invariant step does not fit on the arc", k)
-    return theta + direction * _bisect_param(gap, 0.0, hi, -k)
+    dtheta = bracket_and_bisect(gap, 0.0, 1e-8, math.pi)
+    if dtheta is None:
+        raise DomainViolation("pair-invariant step does not fit on the arc", k)
+    return theta + direction * dtheta
 
 
 def next_hyperbola_point(sol: HyperbolaSolution, t: float, k: float, direction: float) -> float:
@@ -387,12 +385,10 @@ def next_hyperbola_point(sol: HyperbolaSolution, t: float, k: float, direction: 
         except DomainViolation:
             return math.inf
 
-    hi = 1e-8
-    while gap(hi) < 0.0:
-        hi *= 2.0
-        if hi > 50.0:
-            raise DomainViolation("pair-invariant step does not fit on the branch", k)
-    return t + direction * _bisect_param(gap, 0.0, hi, -k)
+    dt = bracket_and_bisect(gap, 0.0, 1e-8, 50.0)
+    if dt is None:
+        raise DomainViolation("pair-invariant step does not fit on the branch", k)
+    return t + direction * dt
 
 
 # Random admissible windows on exact conics, for the oracles of the step.

@@ -46,6 +46,7 @@ from invscheme.baselines import (
     stencil_d2_4pt,
     stencil_d3_4pt,
 )
+from invscheme.exact import bracket_and_bisect
 from invscheme.schemes import (
     newton_fallback_step,
     scheme_targets,
@@ -260,13 +261,9 @@ def _disc_walk(disc, curve, x0, k):
     def gap(dx):
         return disc(p0, Point2(x0 + dx, curve(x0 + dx))) - k
 
-    lo, hi = 1e-12, 1e-6
-    while gap(hi) < 0.0:
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if gap(mid) < 0.0 else (lo, mid)
-    return x0 + 0.5 * (lo + hi)
+    dx = bracket_and_bisect(gap, 0.0, 1e-6, 1.0)
+    assert dx is not None
+    return x0 + dx
 
 
 def _invariant_errors(realization, k):

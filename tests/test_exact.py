@@ -1,4 +1,5 @@
-"""Exact conic solutions: fitting, slopes, distances, chord walking."""
+"""Exact conic solutions: fitting, slopes, distances, chord walking, and the
+shared bracket-and-bisect search."""
 
 import math
 import random
@@ -16,7 +17,7 @@ from invscheme import (
     fit_circle,
     fit_hyperbola,
 )
-from invscheme.exact import conic_distance, next_chord_point, slope_at
+from invscheme.exact import bracket_and_bisect, conic_distance, next_chord_point, slope_at
 
 SQRT2 = math.sqrt(2.0)
 
@@ -171,3 +172,55 @@ def test_next_chord_point_hyperbola():
     p0, p1 = sol.point(0.2), sol.point(t1)
     assert abs(math.hypot(p1.x - p0.x, p1.y - p0.y) - 0.05) < 1e-9
     assert t1 < 0.2
+    # no parameter step up to 50 reaches this far along the branch
+    with pytest.raises(DomainViolation, match="^chord step does not fit on the branch$"):
+        next_chord_point(sol, 0.2, 1e30, -1)
+
+
+def _recorded(gap):
+    probes = []
+
+    def recording(x):
+        probes.append(x)
+        return gap(x)
+
+    return recording, probes
+
+
+def test_bracket_and_bisect_returns_an_exact_zero_at_once():
+    gap, probes = _recorded(lambda x: x - 0.75)
+    assert bracket_and_bisect(gap, 0.0, 1.0, 10.0) == 0.75
+    assert probes == [1.0, 0.5, 0.75]
+
+
+@pytest.mark.parametrize("root", [1.05, 3.3])
+def test_bracket_and_bisect_stops_at_adjacent_floats(root):
+    """Past x = 1 one ulp is wider than 1e-16 (1 + x), so only the
+    adjacent-float stop ends the halving: at the two floats around the
+    sign change, after about 53 halvings rather than the cap of 200."""
+    gap, probes = _recorded(lambda x: -1.0 if x < root else 1.0)
+    x = bracket_and_bisect(gap, 0.0, 1.0, 10.0)
+    below = math.nextafter(root, 0.0)
+    assert x in (below, root)
+    assert {below, root} <= set(probes)
+    assert len(probes) < 60
+
+
+def test_bracket_and_bisect_stops_at_a_relative_bracket():
+    """Below x = 1 the bracket 1e-16 (1 + x) spans several floats, and the
+    halving stops there, short of adjacent floats."""
+    root = 0.1
+    gap, probes = _recorded(lambda x: -1.0 if x < root else 1.0)
+    x = bracket_and_bisect(gap, 0.0, 1.0, 10.0)
+    assert abs(x - root) <= 1e-16 * (1.0 + root)
+    lo = max(p for p in probes if p < root)
+    hi = min(p for p in probes if p >= root)
+    assert math.nextafter(lo, 1.0) < hi
+
+
+def test_bracket_and_bisect_gives_none_past_the_limit():
+    """A gap that stays negative is probed at doubling offsets no further
+    than limit ahead of start, and the search gives None."""
+    gap, probes = _recorded(lambda x: -1.0)
+    assert bracket_and_bisect(gap, 2.0, 1e-8, 50.0) is None
+    assert probes[0] == 2.0 + 1e-8 and max(probes) <= 2.0 + 50.0

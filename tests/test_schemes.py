@@ -51,7 +51,7 @@ from invscheme.schemes import (
 from invscheme import schemes
 from invscheme.invariants import _window_j1
 from invscheme.baselines import rk45_integrate
-from invscheme.exact import conic_distance, next_chord_point
+from invscheme.exact import bracket_and_bisect, conic_distance, next_chord_point
 
 from helpers import (
     ConicCoeffs,
@@ -696,11 +696,11 @@ def _fused_step(realization, p_prev, p_last, k, m, side):
 
 
 @pytest.mark.parametrize("name", ["fig1", "fig2", "fig3", "fig4"])
-def test_fast_step_keeps_every_bit_along_the_builtin_runs(name, monkeypatch):
+def test_fast_step_keeps_every_bit_along_the_builtin_runs(name):
     """The same comparison on every state of the builtin runs at h = 0.005,
     whose polish corrections near sl4's x = 0 are large enough to show the
     last bit of a gradient.  A run's last state may halt in its targets."""
-    states = _fig_run_states(name, 0.005, monkeypatch)
+    states = _fig_run_states(name, 0.005)
     for s in states:
         try:
             m = scheme_targets(s)[0]
@@ -770,20 +770,23 @@ def test_dilation_changes_no_bit_of_a_run(name):
 # -- carried pair invariants ------------------------------------------------------
 
 
-def _fig_run_states(name, h, monkeypatch):
-    """Every state run_scheme steps from along a builtin invariant run."""
+def _fig_run_states(name, h):
+    """Every state run_scheme steps from along a builtin invariant run: the
+    public chain bootstrap, step_with_diagnostics, advance_state, stopped
+    where run_scheme stops (test_run_scheme_is_the_public_step_chain)."""
     cfg = builtin(name)
     state = bootstrap(cfg.realization, cfg.order, cfg.ics, h, f=cfg.f)
+    lo, hi = cfg.x_window
     states = []
-    step = schemes.step_with_diagnostics
-
-    def recording(s):
-        states.append(s)
-        return step(s)
-
-    monkeypatch.setattr(schemes, "step_with_diagnostics", recording)
-    run_scheme(state, cfg.max_steps, cfg.x_window)
-    monkeypatch.undo()
+    for _ in range(cfg.max_steps):
+        states.append(state)
+        try:
+            p, _ = step_with_diagnostics(state)
+            state = advance_state(state, p)
+        except NumericError:
+            break
+        if not lo <= p.x <= hi:
+            break
     return states
 
 
@@ -797,13 +800,13 @@ def _step_outcome(state):
 
 @pytest.mark.parametrize("name", ["fig1", "fig2", "fig3", "fig4"])
 @pytest.mark.parametrize("h", [0.01, 0.005])
-def test_carried_values_change_no_bit(name, h, monkeypatch):
+def test_carried_values_change_no_bit(name, h):
     """A carried state steps exactly as the same state built by hand, which
     evaluates its pair invariants and (order 3) its window's J1 on
     construction; the carried pairs are the pair invariants of the window,
     the carried J1 the window's J1, the step's residuals those of its point
     and its J2 that of window_j2, bit for bit."""
-    states = _fig_run_states(name, h, monkeypatch)
+    states = _fig_run_states(name, h)
     assert len(states) > 200
     r = states[0].spec.realization
     disc = disc_i1_sl3 if r is RealizationId.SL3 else disc_i1_sl4
@@ -1013,15 +1016,6 @@ def _restart_bootstrap3(realization, ics, h):
     curve = schemes._ReferenceCurve(realization, ics, square)
     disc = disc_i1_sl3 if realization is RealizationId.SL3 else disc_i1_sl4
 
-    def advance(gap, x_start, hi):
-        while gap(x_start + hi) < 0.0:
-            hi *= 2.0
-        lo_x, hi_x = x_start, x_start + hi
-        for _ in range(80):
-            mid = 0.5 * (lo_x + hi_x)
-            lo_x, hi_x = (mid, hi_x) if gap(mid) < 0.0 else (lo_x, mid)
-        return 0.5 * (lo_x + hi_x)
-
     def chord_gap(x):
         p = curve(x)
         return math.hypot(p.x - p0.x, p.y - p0.y) - h
@@ -1032,11 +1026,11 @@ def _restart_bootstrap3(realization, ics, h):
         except DomainViolation:
             return math.inf
 
-    p0 = curve(ics["x0"])
-    x1 = advance(chord_gap, p0.x, h)
+    p0 = Point2(ics["x0"], ics["y0"])
+    x1 = bracket_and_bisect(chord_gap, p0.x, h, 1e3 * h)
     p1 = curve(x1)
     k = disc(p0, p1)
-    return p0, p1, curve(advance(invariant_gap, x1, 1e-4))
+    return p0, p1, curve(bracket_and_bisect(invariant_gap, x1, 1e-4, 1e6))
 
 
 @pytest.mark.parametrize(
@@ -1047,11 +1041,20 @@ def _restart_bootstrap3(realization, ics, h):
         (RealizationId.SL4, FIG4_ICS, 0.01),
         (RealizationId.SL4, FIG4_ICS, 0.005),
         (RealizationId.SL3, dict(FIG2_ICS, yp0=1.01), 0.01),
+        (RealizationId.SL3, dict(FIG2_ICS, x0=0.1), 0.01),
+        (RealizationId.SL3, dict(FIG2_ICS, x0=0.3), 0.005),
+        (RealizationId.SL4, dict(FIG4_ICS, x0=0.1), 0.005),
+        (RealizationId.SL4, dict(FIG4_ICS, x0=0.3), 0.01),
     ],
 )
 def test_bootstrap_order3_matches_restart_oracle(realization, ics, h, monkeypatch):
     """One reference integration grown on demand gives the oracle's window,
-    in a handful of integrator calls instead of one per search probe."""
+    in a handful of integrator calls instead of one per search probe, with
+    p1 one chord h from p0 and the second pair at K.  Left of x0 = 0.5 an
+    ulp of x is narrower than the search's 1e-16 (1 + |x|) bracket, so
+    both searches stop before adjacent floats.  The chord is measured on
+    the fresh integration while the search read the interpolant, which
+    leaves up to 8e-14 of h."""
     expected = _restart_bootstrap3(realization, ics, h)
     calls = []
 
@@ -1066,6 +1069,7 @@ def test_bootstrap_order3_matches_restart_oracle(realization, ics, h, monkeypatc
         assert abs(p.x - q.x) <= 1e-11 and abs(p.y - q.y) <= 1e-11
     disc = disc_i1_sl3 if realization is RealizationId.SL3 else disc_i1_sl4
     p0, p1, p2 = state.window
+    assert abs(math.hypot(p1.x - p0.x, p1.y - p0.y) - h) <= 1e-12 * h
     assert abs(disc(p1, p2) - disc(p0, p1)) <= 1e-6
 
 
