@@ -214,7 +214,8 @@ def ode_rhs_library(
 
 # -- scalar Newton step for the finite-difference schemes ---------------------
 
-# Newton acceptance level on |residual|, and the iteration limit.
+# Newton acceptance level on |residual|, and the iteration limit.  A step
+# whose update has stalled accepts the looser 1e-9 (1 + |residual|).
 _FD_TOL = 1e-12
 _FD_MAX_ITER = 50
 
@@ -268,7 +269,7 @@ def standard_fd_step(
         y -= delta
         if abs(delta) <= 1e-13 * (1.0 + abs(y)):
             fy = f(y)
-            if abs(fy) <= max(_FD_TOL, 1e-9 * (1.0 + abs(fy))):
+            if abs(fy) <= 1e-9 * (1.0 + abs(fy)):
                 return y
     raise NewtonDivergence(f"no convergence in {_FD_MAX_ITER} iterations", y)
 

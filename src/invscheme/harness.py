@@ -280,21 +280,6 @@ class SingularityFlag:
     kind: str  # "blow-up" or "tangent-crossing"
 
 
-def _singularities(traj: Trajectory) -> Iterator[SingularityFlag]:
-    """Every secant blow-up (|dy/dx| > 1e4) and x-reversal, in order."""
-    xs, ys = traj.xs, traj.ys
-    for j in range(len(xs) - 1):
-        dx = xs[j + 1] - xs[j]
-        dy = ys[j + 1] - ys[j]
-        if j >= 1:
-            dx_prev = xs[j] - xs[j - 1]
-            if dx_prev * dx < 0.0:
-                yield SingularityFlag(xs[j], "tangent-crossing")
-                continue
-        if abs(dy) > 1e4 * abs(dx):
-            yield SingularityFlag(xs[j + 1], "blow-up")
-
-
 def detect_singularity(traj: Trajectory) -> Optional[SingularityFlag]:
     """First singular event along a trajectory, or None.
 
@@ -302,9 +287,16 @@ def detect_singularity(traj: Trajectory) -> Optional[SingularityFlag]:
     (kind "blow-up") or where dx changes sign, i.e. the trajectory crossed
     a vertical tangent (kind "tangent-crossing").
     """
-    if len(traj.xs) < 3:
+    xs, ys = traj.xs, traj.ys
+    if len(xs) < 3:
         return None
-    return next(_singularities(traj), None)
+    for j in range(len(xs) - 1):
+        dx = xs[j + 1] - xs[j]
+        if j >= 1 and (xs[j] - xs[j - 1]) * dx < 0.0:
+            return SingularityFlag(xs[j], "tangent-crossing")
+        if abs(ys[j + 1] - ys[j]) > 1e4 * abs(dx):
+            return SingularityFlag(xs[j + 1], "blow-up")
+    return None
 
 
 # -- method drivers ------------------------------------------------------------

@@ -8,14 +8,15 @@ three-point invariant relation (J1 = C for order 2, the J2 = F(J1) update
 rule for order 3).  Each equation is a level set of a pair invariant,
 which is a conic in the coordinates of p; subtracting one conic equation
 from the other leaves a straight line, so every step reduces to a single
-line/conic intersection, whose two roots the turning side carried in the
-state tells apart.  A short Newton polish removes the intersection
-roundoff; it is the step's only solver, and a polish that stops short of
-the residual gate, leaves the invariant domain, meets a gradient whose
-denominator underflows, or follows a degenerate reduction ends the step.
+line/conic intersection, whose two roots the side carried in the state
+tells apart: the sign of S at order 2, the turning side at order 3.  A
+short Newton polish removes the intersection roundoff; it is the step's
+only solver, and a polish that stops short of the residual gate, leaves
+the invariant domain, meets a gradient whose denominator underflows, or
+follows a degenerate reduction ends the step.
 The step is one pass on plain floats: each polish iterate forms its two
 chords once, and the last iterate's chords also give J1's window
-fraction and the next turning side.  newton_fallback_step, a damped 2-D
+fraction and the next side.  newton_fallback_step, a damped 2-D
 Newton on the pair-invariant equations that never sees the reduction, is
 the tests' independent oracle for the step's point.
 
@@ -70,8 +71,10 @@ class SchemeState:
     window holds the points a step needs (2 for order 2, 3 for order 3),
     oldest first.  last_j1 is the update rule's J1 target (order 3 only):
     bootstrap starts it at the window's J1, tau, and advance_state carries
-    the previous step's j1_next target.  side is the turning side carried
-    for root selection: +1, -1, or 0 when not yet established.
+    the previous step's j1_next target.  side picks the step's root: +1,
+    -1, or 0 when not established.  At order 2 it is the sign of S that
+    bootstrap reads off the conic, a constant of the run; at order 3 it is
+    the turning side of the last step.
 
     pairs holds the pair invariants of consecutive window points, oldest
     first, and j1_window the window's measured J1 (order 3 only).
@@ -205,9 +208,10 @@ def reduce_to_line_conic(state: SchemeState) -> tuple[tuple[float, ...], tuple[f
 
 
 def _turn(vx: float, vy: float, wx: float, wy: float, fallback: float) -> float:
-    """Turning side of the displacements (vx, vy) then (wx, wy): the sign of
-    their cross product, or fallback when they are collinear to relative
-    precision 1e-9, so an established side survives straight stretches."""
+    """Turning side of the displacements (vx, vy) then (wx, wy), the order-3
+    side: the sign of their cross product, or fallback when they are
+    collinear to relative precision 1e-9, so an established side survives
+    straight stretches."""
     cr = vx * wy - vy * wx
     if abs(cr) > 1e-9 * math.hypot(vx, vy) * math.hypot(wx, wy):
         return 1.0 if cr > 0.0 else -1.0
@@ -215,7 +219,8 @@ def _turn(vx: float, vy: float, wx: float, wy: float, fallback: float) -> float:
 
 
 def _fast_step(
-    realization: RealizationId, p_prev: Point2, p_last: Point2, k: float, m: float, side: float
+    realization: RealizationId, order: int, p_prev: Point2, p_last: Point2, k: float, m: float,
+    side: float,
 ) -> tuple[float, float, float, float, int, float, float, float]:
     """The step in one pass on plain floats: reduction, root pick, polish.
 
@@ -227,14 +232,17 @@ def _fast_step(
     within 1e-10 below zero counts as a tangency (double root).
 
     Of the roots forward of the last chord and in the half plane, prefer
-    the one whose turn matches side (any turn matches side 0); among equals
-    take the root nearest the linear extrapolation of the last chord.  The
-    turn carries the pick at order 2 as well as at order 3: the mirror
-    roots lie only O(K^2) apart, as close as the extrapolation's own
-    O(K^2) miss, so nearness alone picks the other root on 6651 of the
-    20000 steps of fig1 at h = 0.01.  Picking by forward distance instead
-    can capture the mirror, whose displacement in the hyperbolic-rotation
-    geometry grows without bound as chords approach slope +-1.
+    the one whose sign matches side (any sign matches side 0); among equals
+    take the root nearest the linear extrapolation of the last chord.  At
+    order 2 the sign is that of S(p_prev, p_last, p) = 2 sigma b.x cr +
+    v_y Q(u) - u_y Q(v), with b = p_last, u = p_prev - b, v = p - b,
+    Q(w) = sigma w_x^2 + w_y^2 and cr = u_x v_y - u_y v_x.  The two roots
+    are mirror images across the geodesic through p_prev and p_last, on
+    which S changes sign, and the sign of S is a group invariant, so the
+    pick does not depend on the frame.  Nearness alone would not do: the
+    mirror roots lie only O(K^2) apart, as close as the extrapolation's
+    own O(K^2) miss.  At order 3 the sign is the Euclidean turn of the
+    last chord and p - p_last.
 
     The polish takes at most four Newton corrections on the two
     pair-invariant equations.  Each iterate forms its chords to p_last and
@@ -242,7 +250,8 @@ def _fast_step(
     operations, and their gradients only when it misses the tolerance.
     The last iterate's chords give the window fraction num / den =
     I2^2 - I1n^2 - I1n1^2 of (p_prev, p_last, p), with
-    window_j1_from_pairs's operations, and the next turning side.
+    window_j1_from_pairs's operations, and, at order 3, the next turning
+    side; at order 2 the side comes back unchanged.
 
     Returns (x, y, da, db, iterations, num, den, next side).  Raises
     NoIntersection when the reduction degenerates or no root is admissible,
@@ -284,11 +293,15 @@ def _fast_step(
         rx, ry = x - lx, y - ly
         if x <= 0.0 or rx * pdx + ry * pdy <= 0.0:
             continue
-        turn_ok = (pdx * ry - pdy * rx) * side >= 0.0
-        if best is None or turn_ok > best[0] or turn_ok == best[0] and (
+        sign = pdx * ry - pdy * rx  # the turn, and -cr of S
+        if order == 2:  # S(p_prev, p_last, p): u = p_prev - p_last, v = p - p_last
+            qu, qv = sigma * pdx * pdx + pdy * pdy, sigma * rx * rx + ry * ry
+            sign = ry * qu - 2.0 * sigma * lx * sign + pdy * qv
+        sign_ok = sign * side >= 0.0
+        if best is None or sign_ok > best[0] or sign_ok == best[0] and (
             math.hypot(x - gx, y - gy) < math.hypot(best[1] - gx, best[2] - gy)
         ):
-            best = turn_ok, x, y
+            best = sign_ok, x, y
     if best is None:
         raise NoIntersection("no admissible forward root", p_last)
     _, x, y = best
@@ -350,7 +363,7 @@ def _fast_step(
         eab = pdy * pdy - pdx * pdx
         dab = 4.0 * px * lx - eab
         num, den = eb * dab * dena - eab * denb * dena - ea * denb * dab, denb * dab * dena
-    return x, y, da, db, iters, num, den, _turn(pdx, pdy, ux, uy, side)
+    return x, y, da, db, iters, num, den, side if order == 2 else _turn(pdx, pdy, ux, uy, side)
 
 
 def newton_fallback_step(state: SchemeState, guess: Point2) -> Point2:
@@ -432,14 +445,16 @@ def step_with_diagnostics(state: SchemeState) -> tuple[Point2, StepDiagnostics]:
     invariant, da and db, by window_j1_from_pairs's formula.  At order 3,
     J2 of the window plus p comes from that J1, the window's J1 and the
     pair invariants, by window_j2's formula.  The step leaves p, da,
-    (order 3) J1, the next J1 target and the next turning side on the
-    state for advance_state.
+    (order 3) J1, the next J1 target and the next side on the state for
+    advance_state.
     """
     spec = state.spec
     m, j1_next = scheme_targets(state)
     realization, k = spec.realization, spec.K
     p_prev, p_last = state.window[-2], state.window[-1]
-    x, y, da, db, iters, num, den, side = _fast_step(realization, p_prev, p_last, k, m, state.side)
+    x, y, da, db, iters, num, den, side = _fast_step(
+        realization, spec.order, p_prev, p_last, k, m, state.side
+    )
     root = Point2(x, y)
     mesh_res, scheme_res = abs(da - k), abs(db - m)
     res = scheme_res if scheme_res > mesh_res else mesh_res
@@ -459,7 +474,7 @@ def advance_state(state: SchemeState, p_next: Point2) -> SchemeState:
 
     p_next is that point or one equal to it.  The next state takes the
     step's hand-over: the pair invariant that p_next closes (it passed the
-    5e-11 residual gate), the turning side and, at order 3, the window's
+    5e-11 residual gate), the side and, at order 3, the window's
     J1 and the update rule's next J1 target.  Any other point, or a state
     that has not stepped, raises ValueError; a window over another point
     q is SchemeState(state.window[1:] + (q,), ...), which meets the mesh
@@ -478,21 +493,20 @@ def advance_state(state: SchemeState, p_next: Point2) -> SchemeState:
 # -- bootstrap ----------------------------------------------------------------
 
 
-def _pick_direction(sol, t0: float, h: float) -> tuple[float, float]:
-    """Walk direction on a conic, increasing y first and increasing x on
-    ties, with the parameter of the chord point one h along it.  On a
-    hyperbola y = cy + r sinh t rises with t, so the walk is +1 there; a
-    circle is probed both ways."""
+def _first_chord_param(sol, t0: float, h: float) -> float:
+    """Parameter of the chord point one h along a conic from t0, walking
+    toward increasing y first and increasing x on ties.  On a hyperbola
+    y = cy + r sinh t rises with t, so the walk is +1 there; a circle is
+    probed both ways, +1 first."""
     if sol.sigma < 0.0:
-        return 1.0, next_chord_point(sol, t0, h, 1.0)
+        return next_chord_point(sol, t0, h, 1.0)
     p0 = sol.point(t0)
-    probes = {}
-    for d in (1.0, -1.0):
-        t1 = next_chord_point(sol, t0, h, d)
-        p1 = sol.point(t1)
-        probes[d] = (p1.y - p0.y, p1.x - p0.x), t1
-    direction = max(probes, key=lambda d: probes[d][0])
-    return direction, probes[direction][1]
+
+    def rise(t: float) -> tuple[float, float]:
+        p1 = sol.point(t)
+        return p1.y - p0.y, p1.x - p0.x
+
+    return max((next_chord_point(sol, t0, h, d) for d in (1.0, -1.0)), key=rise)
 
 
 class _ReferenceCurve:
@@ -567,9 +581,10 @@ def bootstrap(
     Order 2 needs x0, y0, C, a: the exact conic through (x0, y0) with
     invariant C and scale a (for sl4, the hyperbola branch that holds
     (x0, y0)) supplies the second point one chord h along it, walking
-    toward increasing y first (increasing x on ties).  The turning side is
-    read off the conic: the walk direction on a circle, and minus the
-    hyperbola's branch times the direction on a hyperbola.  Order 3
+    toward increasing y first (increasing x on ties).  The side is the
+    sign of S along that walk, read off the conic and p1 as the sign of
+    -cx ((p0 - c) x (p1 - p0)) for the conic's centre c, or 0 when that
+    product is 0; every step keeps it.  Order 3
     needs x0, y0, yp0, ypp0: the reference solution comes from the
     high-accuracy adaptive integrator at tolerance 1e-12, run forward once
     and grown on demand.  Two searches on its quintic Hermite interpolant,
@@ -594,12 +609,12 @@ def bootstrap(
         c, a = float(ics["C"]), float(ics["a"])
         fit = fit_circle if realization is RealizationId.SL3 else fit_hyperbola
         sol = fit(p0, c, a)[0]
-        direction, t1 = _pick_direction(sol, sol.param(p0), h)
-        p1 = sol.point(t1)
+        p1 = sol.point(_first_chord_param(sol, sol.param(p0), h))
         k = disc(p0, p1)
         if not (math.isfinite(k) and k > 0.0):
             raise DomainViolation(f"mesh constant K = {k!r} is not finite and positive", p1)
-        side = direction if sol.sigma > 0.0 else -sol.branch * direction
+        cross = -sol.cx * ((x0 - sol.cx) * (p1.y - y0) - (y0 - sol.cy) * (p1.x - x0))
+        side = math.copysign(1.0, cross) if cross else 0.0
         spec = SchemeSpec(realization, 2, K=k, C=c)
         return SchemeState((p0, p1), spec, None, side, (k,))
 

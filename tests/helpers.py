@@ -18,6 +18,7 @@ from invscheme import (
     RealizationId,
     SchemeSpec,
     SchemeState,
+    SingularityFlag,
     builtin_experiments,
     disc_i1_sl3,
     disc_i1_sl4,
@@ -29,7 +30,6 @@ from invscheme import (
 from invscheme.baselines import _STAGE_ERRORS
 from invscheme.exact import bracket_and_bisect
 from invscheme.group_action import GroupElement
-from invscheme.harness import _singularities
 from invscheme.invariants import _RADICAND_SLACK, window_j1_from_pairs
 from invscheme.schemes import reduce_to_line_conic, square
 
@@ -197,8 +197,8 @@ def solve_line_conic(
 
 # The step's reduction, quadratic and polish written for a general conic,
 # with one six-coefficient level set per realization and pair, a polish
-# that calls one gradient function per pair invariant, and J1 and the next
-# turning side evaluated afresh: an oracle for schemes._line and
+# that calls one gradient function per pair invariant, and S, J1 and the
+# next turning side evaluated afresh: an oracle for schemes._line and
 # schemes._fast_step, which form both level sets from the one (sigma, c_t)
 # expression, drop the zero xy terms, and polish, take J1's window fraction
 # and the turn in one pass over each iterate's chords.
@@ -291,12 +291,28 @@ def turning_side(p0: Point2, p1: Point2, p2: Point2, fallback: float = 0.0) -> f
     return fallback
 
 
-def general_conic_step(realization, p_prev, p_last, k, m, side):
+def s_value(realization, a: Point2, b: Point2, c: Point2) -> float:
+    """S of the window (a, b, c): 2 sigma b.x cr + v_y Q(u) - u_y Q(v), with
+    u = a - b, v = c - b, Q(w) = sigma w_x^2 + w_y^2 and cr = u_x v_y - u_y v_x.
+
+    The two roots of an order-2 step are mirror images across the geodesic
+    through a and b, and S takes opposite signs on them; its sign is a
+    group invariant, constant along an exact solution conic."""
+    sigma = realization.sigma
+    ux, uy, vx, vy = a.x - b.x, a.y - b.y, c.x - b.x, c.y - b.y
+    cr = ux * vy - uy * vx
+    q_u, q_v = sigma * ux * ux + uy * uy, sigma * vx * vx + vy * vy
+    return 2.0 * sigma * b.x * cr + vy * q_u - uy * q_v
+
+
+def general_conic_step(realization, order, p_prev, p_last, k, m, side):
     """schemes._fast_step on general_conic_line's line and conic, through
     polish, as (x, y, da, db, iterations, J1, next side): J1 of
     (p_prev, p_last, p) by window_j1_from_pairs with k standing for the
     window's pair invariant (the DomainViolation it raises, if it does, in
-    its place), and the next side by turning_side."""
+    its place).  The root pick prefers the sign side of s_value at order 2
+    and of the turn at order 3; the next side is side at order 2 and
+    turning_side at order 3."""
     (la, lb, ld), (qxx, qxy, qyy, qx, qy, q0) = general_conic_line(
         realization, p_prev, p_last, k, m
     )
@@ -337,7 +353,11 @@ def general_conic_step(realization, p_prev, p_last, k, m, side):
         rx, ry = x - ax, y - ay
         if rx * pdx + ry * pdy <= 0.0:
             continue
-        key = ((pdx * ry - pdy * rx) * side >= 0.0, -math.hypot(x - gx, y - gy))
+        if order == 2:
+            sign = s_value(realization, p_prev, p_last, Point2(x, y))
+        else:
+            sign = pdx * ry - pdy * rx
+        key = (sign * side >= 0.0, -math.hypot(x - gx, y - gy))
         if best is None or key > best[0]:
             best = key, x, y
     if best is None:
@@ -348,7 +368,7 @@ def general_conic_step(realization, p_prev, p_last, k, m, side):
         j1 = window_j1_from_pairs(realization, p_prev, p_last, p, k, da, db)
     except DomainViolation as exc:
         j1 = exc
-    return x, y, da, db, iters, j1, turning_side(p_prev, p_last, p, side)
+    return x, y, da, db, iters, j1, side if order == 2 else turning_side(p_prev, p_last, p, side)
 
 
 def next_circle_point(sol: CircleSolution, theta: float, k: float, direction: float) -> float:
@@ -395,8 +415,8 @@ def next_hyperbola_point(sol: HyperbolaSolution, t: float, k: float, direction: 
 
 
 def random_sl3_window(rng, order):
-    """Equal-spacing window on a random circle with its scheme state, or
-    None when the draw leaves the domain."""
+    """Equal-spacing window on a random circle as (scheme state, Newton
+    guess) by _conic_window, or None when the draw leaves the domain."""
     try:
         c = rng.uniform(0.5, 3.0)
         a = rng.uniform(0.5, 2.0)
@@ -405,26 +425,18 @@ def random_sl3_window(rng, order):
         if sol.cx - sol.r <= 0.05:
             return None
         k_chord = sol.r * rng.uniform(0.02, 0.05)
-        t0 = rng.uniform(0.3, 1.2)
-        params = [t0]
-        for _ in range(order - 1):
+        params = [rng.uniform(0.3, 1.2)]
+        for _ in range(2):
             params.append(next_circle_point(sol, params[-1], k_chord, +1))
-        pts = [sol.point(t) for t in params]
-        k = disc_i1_sl3(pts[0], pts[1])
-        if order == 2:
-            spec = SchemeSpec(RealizationId.SL3, 2, K=k, C=c)
-            return SchemeState(tuple(pts), spec)
-        tau = window_j1(RealizationId.SL3, *pts)
+        return _conic_window(RealizationId.SL3, [sol.point(t) for t in params], c, order)
     except DomainViolation:
         return None
-    spec = SchemeSpec(RealizationId.SL3, 3, K=k, F=square)
-    side = turning_side(*pts)
-    return SchemeState(tuple(pts), spec, last_j1=tau, side=side)
 
 
 def random_sl4_window(rng, order):
-    """Equal-spacing window on the left branch of a random hyperbola with
-    its scheme state, or None when the draw leaves the domain.
+    """Equal-spacing window on the left branch of a random hyperbola as
+    (scheme state, Newton guess) by _conic_window, or None when the draw
+    leaves the domain.
 
     The hyperbola is fitted through a random point, but the window lies on
     its left branch wherever that point lies: on order-3 windows on the
@@ -439,35 +451,35 @@ def random_sl4_window(rng, order):
         t0 = rng.uniform(-0.8, 0.8)
         k_inv = rng.uniform(0.02, 0.08)
         params = [t0]
-        for _ in range(order - 1):
+        for _ in range(2):
             params.append(next_hyperbola_point(sol, params[-1], k_inv, +1))
         pts = [sol.point(t) for t in params]
         if min(p.x for p in pts) <= 0.05:
             return None
-        k = disc_i1_sl4(pts[0], pts[1])
-        if order == 2:
-            spec = SchemeSpec(RealizationId.SL4, 2, K=k, C=c)
-            return SchemeState(tuple(pts), spec)
-        tau = window_j1(RealizationId.SL4, *pts)
+        return _conic_window(RealizationId.SL4, pts, c, order)
     except DomainViolation:
         return None
-    spec = SchemeSpec(RealizationId.SL4, 3, K=k, F=square)
-    side = turning_side(*pts)
-    return SchemeState(tuple(pts), spec, last_j1=tau, side=side)
 
 
-def extrapolated(state) -> Point2:
-    """Continuation guess: quadratic through a three-point window (a
-    linear guess sits halfway between the step's mirror roots and would
-    make the Newton basin a coin flip), linear through a two-point one."""
-    w = state.window
-    if len(w) >= 3:
-        return Point2(
-            w[-3].x - 3 * w[-2].x + 3 * w[-1].x,
-            w[-3].y - 3 * w[-2].y + 3 * w[-1].y,
-        )
-    a, b = w[-2], w[-1]
-    return Point2(2 * b.x - a.x, 2 * b.y - a.y)
+def _conic_window(realization, pts, c, order):
+    """(state, Newton guess) from three equal-spacing points on a conic of
+    invariant c.  At order 2 the window is the first two points, its side
+    the sign of s_value at the third, and the guess that third point, next
+    to the step's root: the linear guess sits halfway between the step's
+    mirror roots, a coin flip for Newton.  At order 3 the window is all
+    three, its side their turning side, and the guess the quadratic
+    extrapolation through them."""
+    disc = disc_i1_sl3 if realization is RealizationId.SL3 else disc_i1_sl4
+    k = disc(pts[0], pts[1])
+    if order == 2:
+        spec = SchemeSpec(realization, 2, K=k, C=c)
+        side = math.copysign(1.0, s_value(realization, *pts))
+        return SchemeState(tuple(pts[:2]), spec, side=side), pts[2]
+    tau = window_j1(realization, *pts)
+    spec = SchemeSpec(realization, 3, K=k, F=square)
+    state = SchemeState(tuple(pts), spec, last_j1=tau, side=turning_side(*pts))
+    a, b, p = pts
+    return state, Point2(a.x - 3 * b.x + 3 * p.x, a.y - 3 * b.y + 3 * p.y)
 
 
 # The textbook J1 and J2 formulas on rounded pair invariants: an oracle for
@@ -551,8 +563,18 @@ def csv_oracle_bytes(method, traj, seed) -> bytes:
 
 
 def all_singularities(traj) -> list:
-    """Every flag of the harness's singularity scan, in order."""
-    return list(_singularities(traj))
+    """Every flag of detect_singularity's scan, in order: each x-reversal
+    (the vertical tangent a trajectory crossed) and, elsewhere, each secant
+    blow-up (|dy/dx| > 1e4)."""
+    xs, ys = traj.xs, traj.ys
+    flags = []
+    for j in range(len(xs) - 1):
+        dx = xs[j + 1] - xs[j]
+        if j >= 1 and (xs[j] - xs[j - 1]) * dx < 0.0:
+            flags.append(SingularityFlag(xs[j], "tangent-crossing"))
+        elif abs(ys[j + 1] - ys[j]) > 1e4 * abs(dx):
+            flags.append(SingularityFlag(xs[j + 1], "blow-up"))
+    return flags
 
 
 # The order-2 equation of each realization written out on its own: an

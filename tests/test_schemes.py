@@ -64,6 +64,7 @@ from helpers import (
     random_sl3_window,
     random_sl4_window,
     reduced,
+    s_value,
     solve_line_conic,
     turning_side,
 )
@@ -283,9 +284,10 @@ def test_order3_sl4_square_rhs_collapses_j1():
 
 def _first_reducible(make, rng, order):
     while True:
-        state = make(rng, order)
-        if state is None:
+        drawn = make(rng, order)
+        if drawn is None:
             continue
+        state = drawn[0]
         try:
             return state, reduced(state)
         except NoIntersection:
@@ -631,7 +633,7 @@ def test_concentric_level_sets_have_no_intersection(realization, m):
     line to intersect; the step reports it instead of searching for a
     root that is not isolated."""
     with pytest.raises(NoIntersection):
-        schemes._fast_step(realization, Point2(1.0, 0.0), Point2(2.0, 0.0), 1.0, m, 0.0)
+        schemes._fast_step(realization, 2, Point2(1.0, 0.0), Point2(2.0, 0.0), 1.0, m, 0.0)
 
 
 def _outcome_repr(fn, *args):
@@ -656,10 +658,12 @@ def test_fast_step_keeps_every_bit_of_the_general_conic_step(
 ):
     """The (sigma, c_t) level sets, the quadratic without its zero xy terms
     and the one-pass polish give the general-conic reduction's line and
-    conic and the same step, bit for bit, errors included: the point, its
-    pair invariants, the polish's iterations, J1 from the window fraction
-    (against window_j1_from_pairs, with K as the window's pair invariant)
-    and the next turning side (against turning_side).  The mesh constant
+    conic and the same step, bit for bit, errors included, at both orders:
+    the point (picked by the sign of S at order 2, by the turn at order 3),
+    its pair invariants, the polish's iterations, J1 from the window
+    fraction (against window_j1_from_pairs, with K as the window's pair
+    invariant) and the next side (the same side at order 2, against
+    turning_side at order 3).  The mesh constant
     is the window's own pair invariant (the chord where the pair has none),
     and M a multiple of it, so about a third of the windows reach the
     polish and the rest halt in the reduction or the root pick."""
@@ -670,23 +674,26 @@ def test_fast_step_keeps_every_bit_of_the_general_conic_step(
         k = disc(p_prev, p_last)
     except DomainViolation:
         k = chord
-    args = (realization, p_prev, p_last, k, ratio * k)
+    args = (p_prev, p_last, k, ratio * k)
 
     def line(*a):
         (la, lb, ld), (sigma, qx, qy, q0) = schemes._line(*a)
         return (la, lb, ld), (sigma, 0.0, 1.0, qx, qy, q0)
 
-    assert _outcome_repr(line, *args) == _outcome_repr(general_conic_line, *args)
-    fused = _outcome_repr(_fused_step, *args, side)
-    assert fused == _outcome_repr(general_conic_step, *args, side)
+    assert _outcome_repr(line, realization, *args) == _outcome_repr(
+        general_conic_line, realization, *args
+    )
+    for order in (2, 3):
+        fused = _outcome_repr(_fused_step, realization, order, *args, side)
+        assert fused == _outcome_repr(general_conic_step, realization, order, *args, side)
 
 
-def _fused_step(realization, p_prev, p_last, k, m, side):
+def _fused_step(realization, order, p_prev, p_last, k, m, side):
     """_fast_step's result in general_conic_step's form: J1 through the
     shared J1 core from the window fraction, with k as the window's pair
     invariant (its DomainViolation in its place)."""
     x, y, da, db, iters, num, den, side_next = schemes._fast_step(
-        realization, p_prev, p_last, k, m, side
+        realization, order, p_prev, p_last, k, m, side
     )
     try:
         j1 = _window_j1(realization, num, den, k, da, db, p_last)
@@ -707,7 +714,7 @@ def test_fast_step_keeps_every_bit_along_the_builtin_runs(name):
         except NoIntersection:
             assert s is states[-1]
             continue
-        args = (s.spec.realization, s.window[-2], s.window[-1], s.spec.K, m, s.side)
+        args = (s.spec.realization, s.spec.order, s.window[-2], s.window[-1], s.spec.K, m, s.side)
         assert _outcome_repr(_fused_step, *args) == _outcome_repr(general_conic_step, *args)
 
 
@@ -939,11 +946,12 @@ def test_bootstrap_order2_walks_the_branch_of_the_start(tmp_path):
 
 
 def test_bootstrap_order2_side_matches_three_chord_points():
-    """The order-2 bootstrap reads its turning side off the conic.  Oracle:
-    the turning side of the seed pair and a third point one more chord h
-    along the walk.  Circles are walked both ways (with the angle up the
-    right half, against it up the left half); a hyperbola is walked with
-    its parameter, along which y grows, on either branch."""
+    """The order-2 bootstrap reads the sign of S off the conic.  Oracle: the
+    sign of s_value on the seed pair and a third point one more chord h
+    along the walk, which is the sign every later step prefers.  Circles
+    are walked both ways (with the angle up the right half, against it up
+    the left half); a hyperbola is walked with its parameter, along which
+    y grows, on either branch."""
     rng = random.Random(19)
     seen = set()
     for _ in range(400):
@@ -959,11 +967,26 @@ def test_bootstrap_order2_side_matches_three_chord_points():
             continue
         fit = fit_circle if realization is RealizationId.SL3 else fit_hyperbola
         sol = fit(state.window[0], ics["C"], ics["a"])[0]
-        direction, t1 = schemes._pick_direction(sol, sol.param(state.window[0]), h)
+        t0 = sol.param(state.window[0])
+        t1 = schemes._first_chord_param(sol, t0, h)
+        direction = math.copysign(1.0, t1 - t0)
         p2 = sol.point(next_chord_point(sol, t1, h, direction))
-        assert state.side == turning_side(*state.window, p2) != 0.0
+        assert state.side == math.copysign(1.0, s_value(realization, *state.window, p2)) != 0.0
         seen.add((sol.sigma, getattr(sol, "branch", 0.0), direction))
     assert seen == {(1.0, 0.0, 1.0), (1.0, 0.0, -1.0), (-1.0, 1.0, 1.0), (-1.0, -1.0, 1.0)}
+
+
+def test_order2_run_near_the_asymptotes_stays_on_its_hyperbola():
+    """An sl4 run whose chords near slope +-1 puts the two mirror roots on
+    either side of the Euclidean turn: picking by the turn there left the
+    fitted hyperbola by 1.78 and stalled at x = 2.257 on maxSteps.  Picking
+    by the sign of S keeps it on the hyperbola (6e-7) out of the x-window,
+    after 1,087 points, near x = 50.9."""
+    ics = {"x0": 3.306, "y0": 3.057, "C": 2.55, "a": 2.015}
+    sol = fit_hyperbola(Point2(ics["x0"], ics["y0"]), ics["C"], ics["a"])[0]
+    traj = run_scheme(bootstrap(RealizationId.SL4, 2, ics, 0.02), 3000, (0.0, 50.0))
+    assert traj.halt.reason == "xRangeExit" and traj.xs[-1] > 50.0
+    assert max(conic_distance(sol, x, y) for x, y in zip(traj.xs, traj.ys)) < 1e-5
 
 
 @pytest.mark.parametrize(
@@ -1142,9 +1165,10 @@ def test_equivariance(realization, order, ics, h):
 def _reversal_misses(state, steps=300):
     """Run up to steps steps from state; after each, step the reversed
     window (p_{n+1}, p_n) of the state whose window is (p_n, p_{n+1}), with
-    that state's turning side negated and (order 3) its window's J1 as the
-    target, and measure the distance of the point it gives from p_{n-1}
-    over 1 + |p_{n-1}|.  A reversed step that halts counts as inf."""
+    that state's side negated (the sign of S at order 2) and (order 3) its
+    window's J1 as the target, and measure the distance of the point it
+    gives from p_{n-1} over 1 + |p_{n-1}|.  A reversed step that halts
+    counts as inf."""
     misses = []
     for _ in range(steps):
         try:
@@ -1188,7 +1212,7 @@ _REVERSAL_CASES += [(r, seed) for r in ("sl3", "sl4") for seed in range(6)]
 @pytest.mark.parametrize("case,arg", _REVERSAL_CASES, ids=[f"{c}-{a}" for c, a in _REVERSAL_CASES])
 def test_order2_step_reverses(case, arg):
     """The order-2 scheme is reversible: the reversed window with the
-    opposite turning side steps back to the point before it, to 1e-9
+    opposite sign of S steps back to the point before it, to 1e-9
     relative, over 300 steps.  The misses measured are 3.7e-13 and 1.2e-14
     on fig1 (h = 0.01, 0.0025), 8.9e-12 and 1.3e-11 on fig3, and at most
     7e-12 on the seeded sl3 configs and 2.2e-11 on the sl4 ones.  The sl4
